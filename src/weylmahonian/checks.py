@@ -13,7 +13,9 @@ the type-D recursion is deliberately reported rather than assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from typing import Callable, Iterable
 
@@ -88,7 +90,12 @@ def _series_report(name: str, params: dict, lhs: TruncSeries, rhs: TruncSeries) 
     return CheckReport(name, params, disc is None, str(lhs), str(rhs), disc)
 
 
-def _scan_report(name: str, params: dict, total: int, failures: list[str]) -> CheckReport:
+def _scan(name: str, params: dict, cases: Iterable, test: Callable, extra: str | None = None) -> CheckReport:
+    """Run test on every case; test returns a failure message or None.  extra
+    is a failure found outside the cases, reported after theirs."""
+    results = [test(case) for case in cases]
+    failures = [r for r in results if r] + ([extra] if extra else [])
+    total = len(results)
     return CheckReport(
         name,
         params,
@@ -113,9 +120,7 @@ def d_euler_direct_vs_recursive(d: int) -> CheckReport:
     fam = GroupFamily("D", d)
     lhs = statistics.mahonian_direct(fam, euler=True)
     rhs = statistics.mahonian_recursive(fam, euler=True)
-    rep = _poly_report("d_euler_direct_vs_recursive", {"d": d}, lhs, rhs)
-    rep.gating = False
-    return rep
+    return _poly_report("d_euler_direct_vs_recursive", {"d": d}, lhs, rhs, gating=False)
 
 
 def symmetry_qt_a(d: int) -> CheckReport:
@@ -130,34 +135,24 @@ def low_degree_agreement(d: int) -> CheckReport:
     return _poly_report("low_degree_agreement", {"d": d}, cut(ma), cut(mbc))
 
 
-def a_major_equidistribution(d: int) -> CheckReport:
-    lhs = statistics.mahonian_direct(GroupFamily("A", d)).specialize(q=1)
-    return _poly_report("a_major_equidistribution", {"d": d}, lhs, statistics.closed_form("a_wmaj", d))
+def _closed_form_check(name: str, family: str, var: str, form: str) -> Callable[[int], CheckReport]:
+    """The check that the direct polynomial of the family at var = 1 equals
+    the named closed form."""
+
+    def check(d: int) -> CheckReport:
+        lhs = statistics.mahonian_direct(GroupFamily(family, d)).specialize(**{var: 1})
+        return _poly_report(name, {"d": d}, lhs, statistics.closed_form(form, d))
+
+    check.__name__ = check.__qualname__ = name
+    return check
 
 
-def a_length_factorization(d: int) -> CheckReport:
-    lhs = statistics.mahonian_direct(GroupFamily("A", d)).specialize(t=1)
-    return _poly_report("a_length_factorization", {"d": d}, lhs, statistics.closed_form("a_length", d))
-
-
-def bc_length_factorization(d: int) -> CheckReport:
-    lhs = statistics.mahonian_direct(GroupFamily("BC", d)).specialize(t=1)
-    return _poly_report("bc_length_factorization", {"d": d}, lhs, statistics.closed_form("bc_length", d))
-
-
-def bc_major_factorization(d: int) -> CheckReport:
-    lhs = statistics.mahonian_direct(GroupFamily("BC", d)).specialize(q=1)
-    return _poly_report("bc_major_factorization", {"d": d}, lhs, statistics.closed_form("bc_wmaj", d))
-
-
-def d_length_factorization(d: int) -> CheckReport:
-    lhs = statistics.mahonian_direct(GroupFamily("D", d)).specialize(t=1)
-    return _poly_report("d_length_factorization", {"d": d}, lhs, statistics.closed_form("d_length", d))
-
-
-def d_wmaj_factorization(d: int) -> CheckReport:
-    lhs = statistics.mahonian_direct(GroupFamily("D", d)).specialize(q=1)
-    return _poly_report("d_wmaj_factorization", {"d": d}, lhs, statistics.closed_form("d_wmaj", d))
+a_major_equidistribution = _closed_form_check("a_major_equidistribution", "A", "q", "a_wmaj")
+a_length_factorization = _closed_form_check("a_length_factorization", "A", "t", "a_length")
+bc_length_factorization = _closed_form_check("bc_length_factorization", "BC", "t", "bc_length")
+bc_major_factorization = _closed_form_check("bc_major_factorization", "BC", "q", "bc_wmaj")
+d_length_factorization = _closed_form_check("d_length_factorization", "D", "t", "d_length")
+d_wmaj_factorization = _closed_form_check("d_wmaj_factorization", "D", "q", "d_wmaj")
 
 
 def bc_reciprocal_symmetry(d: int) -> CheckReport:
@@ -184,11 +179,11 @@ def qbinomial_theorem(d: int, a: int) -> CheckReport:
 
 
 def qbinomial_recursion_vs_product(d: int) -> CheckReport:
-    failures = []
-    for k in range(d + 1):
+    def test(k):
         if statistics.q_binomial(d, k) != statistics.q_binomial_product(d, k):
-            failures.append(f"k={k}")
-    return _scan_report("qbinomial_recursion_vs_product", {"d": d}, d + 1, failures)
+            return f"k={k}"
+
+    return _scan("qbinomial_recursion_vs_product", {"d": d}, range(d + 1), test)
 
 
 def qbinomial_special_case(d: int) -> CheckReport:
@@ -213,76 +208,71 @@ def euler_specialize_s1(family: str, d: int) -> CheckReport:
 def central_element_identities(d: int) -> CheckReport:
     fam = GroupFamily("BC", d)
     c = central_element(d)
-    failures = []
-    total = 0
-    for perm in enumerate_group(fam):
-        total += 1
+
+    def test(perm):
         other = compose(c, perm)
         if length(perm, fam) + length(other, fam) != d * d:
-            failures.append(f"length identity fails at {perm}")
-        elif wmaj(perm) + wmaj(other) != comb(d + 1, 2):
-            failures.append(f"wmaj identity fails at {perm}")
-    return _scan_report("central_element_identities", {"d": d}, total, failures)
+            return f"length identity fails at {perm}"
+        if wmaj(perm) + wmaj(other) != comb(d + 1, 2):
+            return f"wmaj identity fails at {perm}"
+
+    return _scan("central_element_identities", {"d": d}, enumerate_group(fam), test)
 
 
 def bc_vs_d_length_difference(d: int) -> CheckReport:
     fam_d = GroupFamily("D", d)
     fam_bc = GroupFamily("BC", d)
-    failures = []
-    total = 0
-    for perm in enumerate_group(fam_d):
-        total += 1
+
+    def test(perm):
         if length(perm, fam_bc) - length(perm, fam_d) != negative_count(perm):
-            failures.append(f"difference wrong at {perm}")
-    return _scan_report("bc_vs_d_length_difference", {"d": d}, total, failures)
+            return f"difference wrong at {perm}"
+
+    return _scan("bc_vs_d_length_difference", {"d": d}, enumerate_group(fam_d), test)
 
 
 def generator_length_step(family: str, d: int) -> CheckReport:
     fam = GroupFamily(family, d)
     gens = fam.generators()
-    failures = []
-    total = 0
-    for perm in enumerate_group(fam):
-        for g in gens:
-            total += 1
-            if abs(length(compose(perm, g), fam) - length(perm, fam)) != 1:
-                failures.append(f"step not +-1 at {perm}")
-    return _scan_report("generator_length_step", {"family": family, "d": d}, total, failures)
+
+    def test(case):
+        perm, g = case
+        if abs(length(compose(perm, g), fam) - length(perm, fam)) != 1:
+            return f"step not +-1 at {perm}"
+
+    cases = ((perm, g) for perm in enumerate_group(fam) for g in gens)
+    return _scan("generator_length_step", {"family": family, "d": d}, cases, test)
 
 
 def length_vs_bfs(family: str, d: int) -> CheckReport:
     fam = GroupFamily(family, d)
-    failures = []
-    total = 0
-    for perm in enumerate_group(fam):
-        total += 1
+
+    def test(perm):
         if length(perm, fam) != coxeter_word_length(perm, fam):
-            failures.append(f"closed form != BFS at {perm}")
-    return _scan_report("length_vs_bfs", {"family": family, "d": d}, total, failures)
+            return f"closed form != BFS at {perm}"
+
+    return _scan("length_vs_bfs", {"family": family, "d": d}, enumerate_group(fam), test)
 
 
 def greedy_word_valid(family: str, d: int) -> CheckReport:
     fam = GroupFamily(family, d)
-    failures = []
-    total = 0
-    for perm in enumerate_group(fam):
-        total += 1
+
+    def test(perm):
         word = greedy_reduced_word(perm, fam)
         if len(word) != length(perm, fam) or word_to_perm(word, fam) != perm:
-            failures.append(f"bad word at {perm}")
-    return _scan_report("greedy_word_valid", {"family": family, "d": d}, total, failures)
+            return f"bad word at {perm}"
+
+    return _scan("greedy_word_valid", {"family": family, "d": d}, enumerate_group(fam), test)
 
 
 def standard_weight_identity(family: str, d: int) -> CheckReport:
     fam = GroupFamily(family, d)
-    failures = []
-    total = 0
-    for perm in enumerate_group(fam):
-        total += 1
+
+    def test(perm):
         _, weight = flaggeom.standard_flag(perm, fam)
         if weight != wmaj(perm):
-            failures.append(f"standard weight != wmaj at {perm}")
-    return _scan_report("standard_weight_identity", {"family": family, "d": d}, total, failures)
+            return f"standard weight != wmaj at {perm}"
+
+    return _scan("standard_weight_identity", {"family": family, "d": d}, enumerate_group(fam), test)
 
 
 def descent_statistic_matches_coxeter(family: str, d: int) -> CheckReport:
@@ -290,27 +280,19 @@ def descent_statistic_matches_coxeter(family: str, d: int) -> CheckReport:
     the element (not asserted for type D, where it differs)."""
     fam = GroupFamily(family, d)
     gens = fam.generators()
-    failures = []
-    total = 0
-    for perm in enumerate_group(fam):
-        total += 1
+
+    def test(perm):
         l0 = length(perm, fam)
         cox = sum(1 for g in gens if length(compose(perm, g), fam) < l0)
         if cox != descent_count(perm):
-            failures.append(f"descent count mismatch at {perm}: {descent_count(perm)} vs {cox}")
-    return _scan_report(
-        "descent_statistic_matches_coxeter", {"family": family, "d": d}, total, failures
+            return f"descent count mismatch at {perm}: {descent_count(perm)} vs {cox}"
+
+    return _scan(
+        "descent_statistic_matches_coxeter", {"family": family, "d": d}, enumerate_group(fam), test
     )
 
 
 # -- geometric oracle ------------------------------------------------------------
-
-
-_FLAG_KIND_FAMILY = {"A": "A", "C": "BC", "B": "BC", "D": "D"}
-
-
-def _space(kind: str, p: int, d: int) -> flaggeom.FqSpace:
-    return flaggeom.space_for_family(kind, p, d)
 
 
 def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = False) -> CheckReport:
@@ -320,13 +302,12 @@ def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = Fal
     geometric factors at q=p; type B compares with the type-C series.
     """
     params = {"kind": kind, "p": p, "d": d, "trunc": trunc, "alpha": alpha}
-    space = _space(kind, p, d)
+    space = flaggeom.space_for_family(kind, p, d)
     lhs = flaggeom.flag_series(space, trunc, with_alpha=alpha)
     if kind == "B":
         rhs = flaggeom.flag_series(flaggeom.symplectic_space(p, d), trunc, with_alpha=alpha)
     else:
-        fam = GroupFamily(_FLAG_KIND_FAMILY[kind], d)
-        m = statistics.mahonian_recursive(fam, euler=alpha).specialize(q=p)
+        m = statistics.mahonian_recursive(space.family, euler=alpha).specialize(q=p)
         rhs = TruncSeries.from_poly(m, trunc)
         for j in range(1, d + 1):
             rhs = rhs * TruncSeries.geometric_factor(j, alpha, trunc)
@@ -335,46 +316,48 @@ def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = Fal
 
 def subspace_count_grassmann(p: int, d: int) -> CheckReport:
     space = flaggeom.linear_space(p, d)
-    failures = []
-    for k in range(d + 1):
+
+    def test(k):
         got = sum(1 for _ in flaggeom.enumerate_subspaces(space, k))
         want = statistics.q_binomial(d, k).evaluate(q=p)
-        if got != want:
-            failures.append(f"k={k}: {got} vs {want}")
-    return _scan_report("subspace_count_grassmann", {"p": p, "d": d}, d + 1, failures)
+        return f"k={k}: {got} vs {want}" if got != want else None
+
+    return _scan("subspace_count_grassmann", {"p": p, "d": d}, range(d + 1), test)
 
 
 def subspace_count_isotropic(kind: str, p: int, d: int) -> CheckReport:
     """Isotropic counts in symplectic (kind C) and odd quadratic (kind B)
     spaces against the shared closed formula."""
-    space = _space(kind, p, d)
-    failures = []
-    for k in range(d + 1):
+    space = flaggeom.space_for_family(kind, p, d)
+
+    def test(k):
         got = sum(1 for _ in flaggeom.enumerate_subspaces(space, k, isotropic_only=True))
         want = statistics.symplectic_isotropic_count(d, k).evaluate(q=p)
-        if got != want:
-            failures.append(f"k={k}: {got} vs {want}")
-    return _scan_report("subspace_count_isotropic", {"kind": kind, "p": p, "d": d}, d + 1, failures)
+        return f"k={k}: {got} vs {want}" if got != want else None
+
+    return _scan("subspace_count_isotropic", {"kind": kind, "p": p, "d": d}, range(d + 1), test)
 
 
 def subspace_count_hyperbolic(p: int, d: int) -> CheckReport:
     """Isotropic counts in the hyperbolic space, broken down by the
     metabolizer excess l."""
     space = flaggeom.hyperbolic_space(p, d)
-    failures = []
-    cases = 0
-    for k in range(d + 1):
-        tally: dict[int, int] = {}
-        for rows in flaggeom.enumerate_subspaces(space, k, isotropic_only=True):
-            l = flaggeom.metabolizer_excess(space, rows)
-            tally[l] = tally.get(l, 0) + 1
-        for l in range(k + 1):
-            cases += 1
-            got = tally.get(l, 0)
-            want = statistics.hyperbolic_isotropic_count(d, k, l).evaluate(q=p)
-            if got != want:
-                failures.append(f"k={k} l={l}: {got} vs {want}")
-    return _scan_report("subspace_count_hyperbolic", {"p": p, "d": d}, cases, failures)
+
+    def cases():
+        for k in range(d + 1):
+            tally = Counter(
+                flaggeom.metabolizer_excess(space, rows)
+                for rows in flaggeom.enumerate_subspaces(space, k, isotropic_only=True)
+            )
+            for l in range(k + 1):
+                yield k, l, tally[l]
+
+    def test(case):
+        k, l, got = case
+        want = statistics.hyperbolic_isotropic_count(d, k, l).evaluate(q=p)
+        return f"k={k} l={l}: {got} vs {want}" if got != want else None
+
+    return _scan("subspace_count_hyperbolic", {"p": p, "d": d}, cases(), test)
 
 
 def canonical_cell_counts(kind: str, p: int, d: int) -> CheckReport:
@@ -383,37 +366,29 @@ def canonical_cell_counts(kind: str, p: int, d: int) -> CheckReport:
     For the hyperbolic space the complete flags of both parity classes are
     tallied, against the type-D length formula extended to all signed
     permutations."""
-    space = _space(kind, p, d)
-    failures = []
-    total = 0
-    seen = 0
-    if kind == "D":
-        for perm in enumerate_group(GroupFamily("BC", d)):
-            total += 1
-            got = flaggeom.count_canonical_bases(space, perm)
-            seen += got
+    space = flaggeom.space_for_family(kind, p, d)
+    fam = GroupFamily("BC", d) if kind == "D" else space.family
+
+    counts = {perm: flaggeom.count_canonical_bases(space, perm) for perm in enumerate_group(fam)}
+
+    def test(case):
+        perm, got = case
+        if kind == "D":
             want = p ** (inversions(perm) + sum(d + x for x in perm if x < 0))
-            if got != want:
-                failures.append(f"{perm}: {got} vs {want}")
-    else:
-        fam = GroupFamily(_FLAG_KIND_FAMILY[kind], d)
-        for perm in enumerate_group(fam):
-            total += 1
-            got = flaggeom.count_canonical_bases(space, perm)
-            seen += got
+        else:
             want = p ** length(perm, fam)
-            if got != want:
-                failures.append(f"{perm}: {got} vs {want}")
-    if seen != sum(flaggeom._complete_flag_tally(space).values()):
-        failures.append("tally contains permutations outside the family")
-    return _scan_report("canonical_cell_counts", {"kind": kind, "p": p, "d": d}, total, failures)
+        return f"{perm}: {got} vs {want}" if got != want else None
+
+    outside = sum(counts.values()) != sum(flaggeom._complete_flag_tally(space).values())
+    extra = "tally contains permutations outside the family" if outside else None
+    return _scan("canonical_cell_counts", {"kind": kind, "p": p, "d": d}, counts.items(), test, extra)
 
 
 def standard_flag_generating_function(kind: str, p: int, d: int) -> CheckReport:
     """Sum of count_canonical_bases * t^standard_weight over the family equals
     the Mahonian polynomial at q=p."""
-    space = _space(kind, p, d)
-    fam = GroupFamily(_FLAG_KIND_FAMILY[kind], d)
+    space = flaggeom.space_for_family(kind, p, d)
+    fam = space.family
     lhs = MultiPoly.zero()
     for perm in enumerate_group(fam):
         _, weight = flaggeom.standard_flag(perm, fam)
@@ -426,50 +401,37 @@ def standard_weight_flags(kind: str, p: int, d: int) -> CheckReport:
     """For every enumerated flag: the canonical basis reproduces the flag by
     prefix spans, and the standard weight of its standard flag equals the
     (Weyl-)Major index of the length-permutation."""
-    space = _space(kind, p, d)
-    fam = GroupFamily(_FLAG_KIND_FAMILY[kind], d)
-    failures = []
-    total = 0
-    for chain in flaggeom.enumerate_flags(space):
-        total += 1
+    space = flaggeom.space_for_family(kind, p, d)
+    fam = space.family
+
+    def test(chain):
         basis, perm = flaggeom.canonical_basis(space, chain)
-        for member in chain:
-            if flaggeom.rref(basis[: len(member)], p) != member:
-                failures.append(f"prefix spans do not reproduce {chain}")
-                break
-        else:
-            _, weight = flaggeom.standard_flag(perm, fam)
-            if weight != wmaj(perm):
-                failures.append(f"standard weight != wmaj for {chain} (perm {perm})")
-            elif kind == "D" and negative_count(perm) % 2:
-                failures.append(f"even flag {chain} extracted an odd permutation {perm}")
-    return _scan_report("standard_weight_flags", {"kind": kind, "p": p, "d": d}, total, failures)
+        if any(flaggeom.rref(basis[: len(member)], p) != member for member in chain):
+            return f"prefix spans do not reproduce {chain}"
+        _, weight = flaggeom.standard_flag(perm, fam)
+        if weight != wmaj(perm):
+            return f"standard weight != wmaj for {chain} (perm {perm})"
+        if kind == "D" and negative_count(perm) % 2:
+            return f"even flag {chain} extracted an odd permutation {perm}"
+
+    return _scan("standard_weight_flags", {"kind": kind, "p": p, "d": d}, flaggeom.enumerate_flags(space), test)
 
 
 def standard_fiber_series(p: int, d: int, trunc: int) -> CheckReport:
     """Weighted flags sharing a canonical basis sum to t^w_st * prod 1/(1-t^j)."""
     space = flaggeom.linear_space(p, d)
-    failures = []
-    buckets = flaggeom.flags_by_canonical_basis(space)
-    factors = [
-        TruncSeries.geometric_factor(m, False, trunc) - TruncSeries.one(trunc)
-        for m in range(1, d + 1)
-    ]
-    for basis, chains in buckets.items():
-        got = TruncSeries.zero(trunc)
-        for chain in chains:
-            term = TruncSeries.one(trunc)
-            for sub in chain:
-                term = term * factors[len(sub) - 1]
-            got = got + term
-        perm_of_basis = _basis_length_perm(space, basis)
-        _, weight = flaggeom.standard_flag(perm_of_basis, GroupFamily("A", d))
+
+    def test(bucket):
+        basis, chains = bucket
+        got = flaggeom.weighted_flag_sum(chains, d, trunc)
+        _, weight = flaggeom.standard_flag(_basis_length_perm(space, basis), space.family)
         want = TruncSeries.from_poly(MultiPoly.monomial(1, et=weight), trunc)
         for j in range(1, d + 1):
             want = want * TruncSeries.geometric_factor(j, False, trunc)
-        if got != want:
-            failures.append(f"fiber series mismatch for basis {basis}")
-    return _scan_report("standard_fiber_series", {"p": p, "d": d, "trunc": trunc}, len(buckets), failures)
+        return f"fiber series mismatch for basis {basis}" if got != want else None
+
+    buckets = flaggeom.flags_by_canonical_basis(space)
+    return _scan("standard_fiber_series", {"p": p, "d": d, "trunc": trunc}, buckets.items(), test)
 
 
 def _basis_length_perm(space: flaggeom.FqSpace, basis) -> tuple[int, ...]:
@@ -482,85 +444,75 @@ def refinement_counts(p: int, d: int) -> CheckReport:
     """Bucket all flags of F_p^d by canonical basis; bucket sizes must be
     2^(d-k) with k the descent count of the basis' length-permutation."""
     space = flaggeom.linear_space(p, d)
-    fam = GroupFamily("A", d)
+
+    def test(bucket):
+        basis, chains = bucket
+        want = flaggeom.refinement_count(_basis_length_perm(space, basis), space.family)
+        return f"basis {basis}: {len(chains)} flags vs {want}" if len(chains) != want else None
+
     buckets = flaggeom.flags_by_canonical_basis(space)
-    failures = []
-    for basis, chains in buckets.items():
-        perm = _basis_length_perm(space, basis)
-        want = flaggeom.refinement_count(perm, fam)
-        if len(chains) != want:
-            failures.append(f"basis {basis}: {len(chains)} flags vs {want}")
-    return _scan_report("refinement_counts", {"p": p, "d": d}, len(buckets), failures)
+    return _scan("refinement_counts", {"p": p, "d": d}, buckets.items(), test)
 
 
 def rothe_tallies(kind: str, d: int) -> CheckReport:
     """Cross count = inversions, tensors per tag = the sign part summands, for
     every element of the matching group."""
-    fam = GroupFamily(_FLAG_KIND_FAMILY[kind], d)
-    failures = []
-    total = 0
-    for perm in enumerate_group(fam):
-        total += 1
+    signed = kind in ("C", "B")
+    fam = GroupFamily("BC" if signed else kind, d)
+    base = d + 1 if signed else d
+
+    def test(perm):
         diag = rothe_diagram(perm, kind)
         if diag.cross_count() != inversions(perm):
-            failures.append(f"cross count wrong at {perm}")
-            continue
-        base = d + 1 if kind in ("C", "B") else d
-        want_tags = {i: base + perm[i - 1] for i in range(1, d + 1) if perm[i - 1] < 0}
-        want_tags = {i: n for i, n in want_tags.items() if n}
+            return f"cross count wrong at {perm}"
+        want_tags = {i: base + x for i, x in enumerate(perm, start=1) if x < 0 and base + x}
         if kind != "A" and diag.tensor_counts() != want_tags:
-            failures.append(f"tensor tags wrong at {perm}: {diag.tensor_counts()} vs {want_tags}")
-    return _scan_report("rothe_tallies", {"kind": kind, "d": d}, total, failures)
+            return f"tensor tags wrong at {perm}: {diag.tensor_counts()} vs {want_tags}"
+
+    return _scan("rothe_tallies", {"kind": kind, "d": d}, enumerate_group(fam), test)
+
+
+# (kind, permutation, crosses, tensor tallies or None when not asserted)
+_ROTHE_EXAMPLES = (
+    ("A", (6, 3, 8, 1, 4, 9, 7, 2, 5), 18, None),
+    ("C", (-5, 3, -1, 6, 4, -2), 7, {1: 2, 3: 6, 6: 5}),
+    ("D", (-5, 3, -1, -6, 4, -2), 7, {1: 1, 3: 5, 6: 4}),
+)
 
 
 def rothe_worked_examples() -> CheckReport:
     """The two printed diagrams: 18 crosses for the type A example, 7 crosses
-    with tensor tallies 2/6/5 for the type C example."""
-    failures = []
-    a = rothe_diagram((6, 3, 8, 1, 4, 9, 7, 2, 5), "A")
-    if a.cross_count() != 18:
-        failures.append(f"type A example: {a.cross_count()} crosses")
-    c = rothe_diagram((-5, 3, -1, 6, 4, -2), "C")
-    if c.cross_count() != 7 or c.tensor_counts() != {1: 2, 3: 6, 6: 5}:
-        failures.append(f"type C example: {c.cross_count()} crosses, {c.tensor_counts()}")
-    dd = rothe_diagram((-5, 3, -1, -6, 4, -2), "D")
-    want_d = {i: 6 + v for i, v in enumerate((-5, 3, -1, -6, 4, -2), start=1) if v < 0 and 6 + v}
-    if dd.cross_count() != 7 or dd.tensor_counts() != want_d:
-        failures.append(f"type D example: {dd.cross_count()} crosses, {dd.tensor_counts()}")
-    return _scan_report("rothe_worked_examples", {}, 3, failures)
+    with tensor tallies 2/6/5 for the type C example; the type D example has
+    tallies d + sigma(m)."""
+
+    def test(example):
+        kind, perm, crosses, tags = example
+        diag = rothe_diagram(perm, kind)
+        if diag.cross_count() != crosses or (tags is not None and diag.tensor_counts() != tags):
+            tail = "" if tags is None else f", {diag.tensor_counts()}"
+            return f"type {kind} example: {diag.cross_count()} crosses{tail}"
+
+    return _scan("rothe_worked_examples", {}, _ROTHE_EXAMPLES, test)
 
 
 # -- registry ---------------------------------------------------------------------
 
 
-def _grid(**lists) -> Callable[..., list[dict]]:
+def _points(*points: dict, **axes) -> Callable[..., list[dict]]:
+    """The grid builder of a check: the given parameter points, or the
+    product of the axes in keyword order.  max_d drops points with a larger
+    d, primes drops points whose p is not listed, trunc replaces trunc."""
+    if axes:
+        points = tuple(dict(zip(axes, values)) for values in product(*axes.values()))
+
     def build(max_d: int | None, primes: list[int] | None, trunc: int | None) -> list[dict]:
-        out: list[dict] = [{}]
-        for key, values in lists.items():
-            if key == "d" and max_d is not None:
-                values = [v for v in values if v <= max_d]
-            if key == "p" and primes is not None:
-                values = [v for v in values if v in primes]
-            if key == "trunc" and trunc is not None:
-                values = [trunc]
-            out = [dict(item, **{key: v}) for item in out for v in values]
-        return out
-
-    return build
-
-
-def _fixed(*param_dicts) -> Callable[..., list[dict]]:
-    def build(max_d, primes, trunc):
         out = []
-        for params in param_dicts:
+        for params in points:
             if max_d is not None and params.get("d", 0) > max_d:
                 continue
             if primes is not None and "p" in params and params["p"] not in primes:
                 continue
-            p2 = dict(params)
-            if trunc is not None and "trunc" in p2:
-                p2["trunc"] = trunc
-            out.append(p2)
+            out.append(dict(params, trunc=trunc) if trunc is not None and "trunc" in params else dict(params))
         return out
 
     return build
@@ -569,7 +521,7 @@ def _fixed(*param_dicts) -> Callable[..., list[dict]]:
 REGISTRY: dict[str, tuple[Callable[..., CheckReport], Callable[..., list[dict]]]] = {
     "direct_vs_recursive": (
         direct_vs_recursive,
-        _fixed(
+        _points(
             *[{"family": "A", "d": d, "euler": e} for d in range(8) for e in (False, True)],
             *[{"family": "BC", "d": d, "euler": e} for d in range(6) for e in (False, True)],
             *[{"family": "D", "d": d, "euler": False} for d in range(6)],
@@ -577,51 +529,51 @@ REGISTRY: dict[str, tuple[Callable[..., CheckReport], Callable[..., list[dict]]]
     ),
     "d_euler_direct_vs_recursive": (
         d_euler_direct_vs_recursive,
-        _grid(d=[0, 1, 2, 3, 4]),
+        _points(d=[0, 1, 2, 3, 4]),
     ),
-    "symmetry_qt_a": (symmetry_qt_a, _grid(d=list(range(8)))),
-    "low_degree_agreement": (low_degree_agreement, _grid(d=[1, 2, 3, 4, 5])),
-    "a_major_equidistribution": (a_major_equidistribution, _grid(d=list(range(1, 8)))),
-    "a_length_factorization": (a_length_factorization, _grid(d=list(range(1, 8)))),
-    "bc_length_factorization": (bc_length_factorization, _grid(d=[1, 2, 3, 4, 5])),
-    "bc_major_factorization": (bc_major_factorization, _grid(d=[1, 2, 3, 4, 5])),
-    "d_length_factorization": (d_length_factorization, _grid(d=[1, 2, 3, 4, 5])),
-    "d_wmaj_factorization": (d_wmaj_factorization, _grid(d=[1, 2, 3, 4, 5, 6])),
-    "bc_reciprocal_symmetry": (bc_reciprocal_symmetry, _grid(d=[1, 2, 3, 4, 5])),
-    "bc_restriction_to_unsigned": (bc_restriction_to_unsigned, _grid(d=[1, 2, 3, 4, 5])),
-    "qbinomial_theorem": (qbinomial_theorem, _grid(d=list(range(9)), a=[0, 1, 2, 3, 4])),
-    "qbinomial_recursion_vs_product": (qbinomial_recursion_vs_product, _grid(d=list(range(9)))),
-    "qbinomial_special_case": (qbinomial_special_case, _grid(d=list(range(9)))),
+    "symmetry_qt_a": (symmetry_qt_a, _points(d=list(range(8)))),
+    "low_degree_agreement": (low_degree_agreement, _points(d=[1, 2, 3, 4, 5])),
+    "a_major_equidistribution": (a_major_equidistribution, _points(d=list(range(1, 8)))),
+    "a_length_factorization": (a_length_factorization, _points(d=list(range(1, 8)))),
+    "bc_length_factorization": (bc_length_factorization, _points(d=[1, 2, 3, 4, 5])),
+    "bc_major_factorization": (bc_major_factorization, _points(d=[1, 2, 3, 4, 5])),
+    "d_length_factorization": (d_length_factorization, _points(d=[1, 2, 3, 4, 5])),
+    "d_wmaj_factorization": (d_wmaj_factorization, _points(d=[1, 2, 3, 4, 5, 6])),
+    "bc_reciprocal_symmetry": (bc_reciprocal_symmetry, _points(d=[1, 2, 3, 4, 5])),
+    "bc_restriction_to_unsigned": (bc_restriction_to_unsigned, _points(d=[1, 2, 3, 4, 5])),
+    "qbinomial_theorem": (qbinomial_theorem, _points(d=list(range(9)), a=[0, 1, 2, 3, 4])),
+    "qbinomial_recursion_vs_product": (qbinomial_recursion_vs_product, _points(d=list(range(9)))),
+    "qbinomial_special_case": (qbinomial_special_case, _points(d=list(range(9)))),
     "euler_specialize_s1": (
         euler_specialize_s1,
-        _grid(family=["A", "BC", "D"], d=[0, 1, 2, 3, 4, 5]),
+        _points(family=["A", "BC", "D"], d=[0, 1, 2, 3, 4, 5]),
     ),
-    "central_element_identities": (central_element_identities, _grid(d=[1, 2, 3, 4, 5])),
-    "bc_vs_d_length_difference": (bc_vs_d_length_difference, _grid(d=[1, 2, 3, 4, 5])),
+    "central_element_identities": (central_element_identities, _points(d=[1, 2, 3, 4, 5])),
+    "bc_vs_d_length_difference": (bc_vs_d_length_difference, _points(d=[1, 2, 3, 4, 5])),
     "generator_length_step": (
         generator_length_step,
-        _grid(family=["A", "BC", "D"], d=[1, 2, 3, 4]),
+        _points(family=["A", "BC", "D"], d=[1, 2, 3, 4]),
     ),
     "length_vs_bfs": (
         length_vs_bfs,
-        _fixed(
+        _points(
             *[{"family": "A", "d": d} for d in range(1, 7)],
             *[{"family": "BC", "d": d} for d in range(1, 6)],
             *[{"family": "D", "d": d} for d in range(1, 6)],
         ),
     ),
-    "greedy_word_valid": (greedy_word_valid, _grid(family=["A", "BC", "D"], d=[1, 2, 3, 4])),
+    "greedy_word_valid": (greedy_word_valid, _points(family=["A", "BC", "D"], d=[1, 2, 3, 4])),
     "standard_weight_identity": (
         standard_weight_identity,
-        _grid(family=["A", "BC", "D"], d=[1, 2, 3, 4, 5]),
+        _points(family=["A", "BC", "D"], d=[1, 2, 3, 4, 5]),
     ),
     "descent_statistic_matches_coxeter": (
         descent_statistic_matches_coxeter,
-        _grid(family=["A", "BC"], d=[1, 2, 3, 4]),
+        _points(family=["A", "BC"], d=[1, 2, 3, 4]),
     ),
     "flag_series_theorem": (
         flag_series_theorem,
-        _fixed(
+        _points(
             *[
                 {"kind": "A", "p": p, "d": d, "trunc": 12, "alpha": a}
                 for p in (2, 3)
@@ -639,36 +591,36 @@ REGISTRY: dict[str, tuple[Callable[..., CheckReport], Callable[..., list[dict]]]
     ),
     "subspace_count_grassmann": (
         subspace_count_grassmann,
-        _grid(p=[2, 3], d=[1, 2, 3, 4]),
+        _points(p=[2, 3], d=[1, 2, 3, 4]),
     ),
     "subspace_count_isotropic": (
         subspace_count_isotropic,
-        _fixed(
+        _points(
             *[{"kind": "C", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
             *[{"kind": "B", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
         ),
     ),
     "subspace_count_hyperbolic": (
         subspace_count_hyperbolic,
-        _grid(p=[3, 5], d=[1, 2]),
+        _points(p=[3, 5], d=[1, 2]),
     ),
     "canonical_cell_counts": (
         canonical_cell_counts,
-        _fixed(
+        _points(
             *[{"kind": "A", "p": p, "d": d} for p in (2, 3) for d in (1, 2, 3)],
             *[{"kind": k, "p": 3, "d": d} for k in ("C", "B", "D") for d in (1, 2)],
         ),
     ),
     "standard_flag_generating_function": (
         standard_flag_generating_function,
-        _fixed(
+        _points(
             *[{"kind": "A", "p": p, "d": d} for p in (2, 3) for d in (1, 2, 3)],
             {"kind": "C", "p": 3, "d": 2},
         ),
     ),
     "standard_weight_flags": (
         standard_weight_flags,
-        _fixed(
+        _points(
             *[{"kind": "A", "p": 3, "d": d} for d in (1, 2, 3)],
             {"kind": "C", "p": 3, "d": 2},
             {"kind": "B", "p": 3, "d": 2},
@@ -677,45 +629,44 @@ REGISTRY: dict[str, tuple[Callable[..., CheckReport], Callable[..., list[dict]]]
     ),
     "standard_fiber_series": (
         standard_fiber_series,
-        _fixed(
+        _points(
             {"p": 2, "d": 2, "trunc": 12},
             {"p": 2, "d": 3, "trunc": 12},
             {"p": 3, "d": 2, "trunc": 12},
         ),
     ),
-    "refinement_counts": (refinement_counts, _grid(p=[2], d=[1, 2, 3])),
+    "refinement_counts": (refinement_counts, _points(p=[2], d=[1, 2, 3])),
     "rothe_tallies": (
         rothe_tallies,
-        _fixed(
+        _points(
             *[{"kind": "A", "d": d} for d in (1, 2, 3, 4)],
             *[{"kind": k, "d": d} for k in ("C", "B", "D") for d in (1, 2, 3, 4)],
         ),
     ),
-    "rothe_worked_examples": (rothe_worked_examples, _fixed({})),
+    "rothe_worked_examples": (rothe_worked_examples, _points({})),
 }
+
+
+def _entry(name: str) -> tuple[Callable[..., CheckReport], Callable[..., list[dict]]]:
+    if name not in REGISTRY:
+        raise KeyError(f"unknown check {name!r}; known: {', '.join(REGISTRY)}")
+    return REGISTRY[name]
 
 
 def run_identity_check(name: str, params: dict) -> CheckReport:
     """Run one named check with explicit parameters."""
-    if name not in REGISTRY:
-        raise KeyError(f"unknown check {name!r}; known: {', '.join(REGISTRY)}")
-    fn, _ = REGISTRY[name]
-    return fn(**params)
+    return _entry(name)[0](**params)
 
 
 def default_grid(name: str, max_d=None, primes=None, trunc=None) -> list[dict]:
-    if name not in REGISTRY:
-        raise KeyError(f"unknown check {name!r}; known: {', '.join(REGISTRY)}")
-    _, grid = REGISTRY[name]
-    return grid(max_d, primes, trunc)
+    return _entry(name)[1](max_d, primes, trunc)
 
 
 def run_all(
     names: Iterable[str] | None = None, max_d=None, primes=None, trunc=None
 ) -> list[CheckReport]:
-    reports = []
-    for name in names if names is not None else REGISTRY:
-        fn, grid = REGISTRY[name]
-        for params in grid(max_d, primes, trunc):
-            reports.append(fn(**params))
-    return reports
+    return [
+        run_identity_check(name, params)
+        for name in (names if names is not None else REGISTRY)
+        for params in default_grid(name, max_d, primes, trunc)
+    ]

@@ -7,17 +7,20 @@ Subcommands:
   rothe      print the Rothe diagram of a permutation
   word       print length and a greedy reduced word
 
-Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage error.
+Exit codes: 0 success / all checks passed, 1 a check failed, 2 usage error
+(including a verify selection that matches no check point), 141 standard
+output closed before everything was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import checks, flaggeom, statistics
-from .algebra import poly_latex_table, poly_text, poly_to_json
+from .algebra import DEFAULT_BOUND, poly_latex_table, poly_text, poly_to_json
 from .rothe import ROTHE_KINDS, rothe_diagram
 from .weylgroups import FAMILY_TAGS, GroupFamily, greedy_reduced_word, is_signed_perm, length
 
@@ -64,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--prime", required=True, type=int)
     f.add_argument("--family", required=True, choices=("A", "C", "B", "D"))
     f.add_argument("--d", required=True, type=int)
-    f.add_argument("--trunc", type=int, default=12)
+    f.add_argument("--trunc", type=int, default=DEFAULT_BOUND)
     f.add_argument("--alpha", action="store_true", help="mark the number of weights with s")
 
     r = sub.add_parser("rothe", help="print a Rothe diagram")
@@ -104,17 +107,11 @@ def _cmd_verify(args) -> int:
         print("verify: pass --all or at least one --check NAME", file=sys.stderr)
         return 2
     reports = checks.run_all(names, max_d=args.max_d, primes=args.primes, trunc=args.trunc)
-    passed = failed = info = 0
-    for rep in reports:
-        if rep.passed:
-            tag = "PASS"
-            passed += 1
-        elif rep.gating:
-            tag = "FAIL"
-            failed += 1
-        else:
-            tag = "INFO"
-            info += 1
+    if not reports:
+        print("verify: the selection matches no check point", file=sys.stderr)
+        return 2
+    tags = ["PASS" if rep.passed else "FAIL" if rep.gating else "INFO" for rep in reports]
+    for rep, tag in zip(reports, tags):
         if args.json:
             print(json.dumps(rep.to_json()))
         else:
@@ -122,8 +119,9 @@ def _cmd_verify(args) -> int:
             if not rep.passed:
                 line += f"  [{rep.discrepancy}]"
             print(line)
+    failed, info = tags.count("FAIL"), tags.count("INFO")
     if not args.json:
-        summary = f"{passed} passed, {failed} failed"
+        summary = f"{tags.count('PASS')} passed, {failed} failed"
         if info:
             summary += f", {info} informational"
         print(summary)
@@ -196,7 +194,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: let the flush at exit write to devnull, quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .algebra import TruncSeries
 from .weylgroups import GroupFamily, SignedPerm, check_member, pm_less
@@ -45,12 +45,16 @@ def max_cells() -> int:
 # -- GF(p) linear algebra on tuple vectors -----------------------------------
 
 
-def rref(rows: Sequence[Sequence[int]], p: int) -> Subspace:
-    """Reduced row echelon form; zero rows dropped, rows ordered by pivot."""
+def _eliminate(rows: Sequence[Sequence[int]], p: int, cols: Sequence[int]) -> tuple[list, list]:
+    """Gauss-Jordan elimination taking pivot columns in the given order.
+
+    Returns the (column, normalized row) pivots in the order found, each
+    cleared at every other pivot column, and the nonzero rows left over once
+    the columns ran out.
+    """
     mat = [[x % p for x in row] for row in rows]
-    ncols = len(mat[0]) if mat else 0
     pivots: list[tuple[int, list[int]]] = []
-    for col in range(ncols):
+    for col in cols:
         pr = next((r for r in mat if r[col]), None)
         if pr is None:
             continue
@@ -69,6 +73,12 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> Subspace:
         mat = [r for r in mat if any(r)]
         if not mat:
             break
+    return pivots, mat
+
+
+def rref(rows: Sequence[Sequence[int]], p: int) -> Subspace:
+    """Reduced row echelon form; zero rows dropped, rows ordered by pivot."""
+    pivots, _ = _eliminate(rows, p, range(len(rows[0]) if rows else 0))
     return tuple(tuple(r) for _, r in sorted(pivots))
 
 
@@ -78,16 +88,12 @@ def rank(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def nullspace(constraints: Sequence[Sequence[int]], n: int, p: int) -> list[Vector]:
     """Basis of {x in F_p^n : c . x = 0 for every constraint row c}."""
-    red = rref(constraints, p) if constraints else ()
-    pivot_cols = []
-    for row in red:
-        pivot_cols.append(next(c for c in range(n) if row[c]))
-    free_cols = [c for c in range(n) if c not in pivot_cols]
+    pivots, _ = _eliminate(constraints, p, range(n))
     basis = []
-    for fc in free_cols:
+    for fc in sorted(set(range(n)) - {pc for pc, _ in pivots}):
         v = [0] * n
         v[fc] = 1
-        for row, pc in zip(red, pivot_cols):
+        for pc, row in pivots:
             v[pc] = (-row[fc]) % p
         basis.append(tuple(v))
     return basis
@@ -137,6 +143,11 @@ class FqSpace:
         if self.kind == "quadratic":
             return 2 * self.d + 1
         return 2 * self.d
+
+    @property
+    def family(self) -> GroupFamily:
+        """The Weyl group indexing the canonical bases of (even) flags."""
+        return GroupFamily({"linear": "A", "hyperbolic": "D"}.get(self.kind, "BC"), self.d)
 
     @property
     def iso_max(self) -> int:
@@ -359,24 +370,30 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
             yield from rec([sub], sub)
 
 
-def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSeries:
-    """Generating series of weighted flags: sum over flags of
-    prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha.
-
-    For the hyperbolic space the sum runs over even flags.
-    """
-    _guard_cells(space)
+def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: bool = False) -> TruncSeries:
+    """Sum over the chains (members of dimension <= top) of
+    prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha."""
     factors = [
         TruncSeries.geometric_factor(m, with_alpha, bound) - TruncSeries.one(bound)
-        for m in range(1, space.iso_max + 1)
+        for m in range(1, top + 1)
     ]
     total = TruncSeries.zero(bound)
-    for chain in enumerate_flags(space):
+    for chain in chains:
         term = TruncSeries.one(bound)
         for sub in chain:
             term = term * factors[len(sub) - 1]
         total = total + term
     return total
+
+
+def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSeries:
+    """Generating series of weighted flags: the weighted_flag_sum over all
+    flags of the space.
+
+    For the hyperbolic space the sum runs over even flags.
+    """
+    _guard_cells(space)
+    return weighted_flag_sum(enumerate_flags(space), space.iso_max, bound, with_alpha)
 
 
 # -- canonical bases ------------------------------------------------------------
@@ -423,34 +440,19 @@ def _minimal_vector(
     count towards the "length" of a vector) in decreasing badness, then the
     ignored secondary columns.  Eliminating in that order leaves each pivot
     row zeroed at every worse column, so the last primary pivot row is the
-    minimum; a pivot inside the secondary block means the span contains a
-    vector supported on ignored columns only, which the constructions here
-    never produce.
+    minimum (back-substitution never touches the last pivot row); a pivot
+    inside the secondary block means the span contains a vector supported on
+    ignored columns only, which the constructions here never produce.
     """
-    pool = [list(r) for r in rows if any(r)]
-    if not pool:
+    if not any(any(r) for r in rows):
         raise ValueError("empty span has no minimal vector")
-    best: tuple[Vector, int] | None = None
-    for idx, col in enumerate(ordered_cols):
-        pr = next((r for r in pool if r[col]), None)
-        if pr is None:
-            continue
-        pool.remove(pr)
-        inv = pow(pr[col], -1, p)
-        pr = [(x * inv) % p for x in pr]
-        for r in pool:
-            if r[col]:
-                f = r[col]
-                r[:] = [(x - f * y) % p for x, y in zip(r, pr)]
-        pool = [r for r in pool if any(r)]
-        if idx >= n_primary:
-            raise ValueError("degenerate span: vector supported on ignored columns")
-        best = (tuple(pr), col)
-        if not pool:
-            break
-    if pool or best is None:
+    pivots, rest = _eliminate(rows, p, ordered_cols)
+    if pivots and ordered_cols.index(pivots[-1][0]) >= n_primary:
+        raise ValueError("degenerate span: vector supported on ignored columns")
+    if rest or not pivots:
         raise ValueError("span not exhausted by the given columns")
-    return best
+    col, row = pivots[-1]
+    return tuple(row), col
 
 
 def validate_flag(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) -> Flag:
@@ -577,15 +579,6 @@ def refinement_count(perm: SignedPerm, fam: GroupFamily) -> int:
     check_member(perm, fam)
     k = sum(1 for i in range(1, fam.d) if perm[i - 1] > perm[i])
     return 2 ** (fam.d - k)
-
-
-def flag_to_lists(chain: Flag) -> list[list[list[int]]]:
-    """JSON-ready encoding of a flag: a list of RREF row lists."""
-    return [[list(row) for row in member] for member in chain]
-
-
-def flag_from_lists(space: FqSpace, data: Sequence[Sequence[Sequence[int]]]) -> Flag:
-    return validate_flag(space, data)
 
 
 def flags_by_canonical_basis(space: FqSpace) -> dict[tuple[Vector, ...], list[Flag]]:

@@ -25,9 +25,7 @@ from .weylgroups import (
     wmaj,
 )
 
-_Q = MultiPoly.var("q")
 _T = MultiPoly.var("t")
-_S = MultiPoly.var("s")
 
 
 def _qpow(n: int) -> MultiPoly:
@@ -50,16 +48,21 @@ def q_binomial(d: int, k: int) -> MultiPoly:
     return q_binomial(d - 1, k - 1) + _qpow(k) * q_binomial(d - 1, k)
 
 
+def _ratio(power, num_exps, den_exps) -> MultiPoly:
+    """prod_e (1 - x^e) / prod_f (1 - x^f) by exact division, with x^n = power(n)."""
+    num = den = ONE
+    for e in num_exps:
+        num = num * (1 - power(e))
+    for f in den_exps:
+        den = den * (1 - power(f))
+    return num.exact_div(den)
+
+
 def q_binomial_product(d: int, k: int) -> MultiPoly:
     """Gaussian binomial via the closed product formula (exact division route)."""
     if k < 0 or k > d:
         return ZERO
-    num = ONE
-    den = ONE
-    for j in range(1, k + 1):
-        num = num * (_qpow(d + 1 - j) - 1)
-        den = den * (_qpow(j) - 1)
-    return num.exact_div(den)
+    return _ratio(_qpow, range(d, d - k, -1), range(1, k + 1))
 
 
 def symplectic_isotropic_count(d: int, k: int) -> MultiPoly:
@@ -67,12 +70,7 @@ def symplectic_isotropic_count(d: int, k: int) -> MultiPoly:
     (equals the count for a (2d+1)-dimensional odd quadratic space)."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    num = ONE
-    den = ONE
-    for j in range(k):
-        num = num * (1 - _qpow(2 * d - 2 * j))
-        den = den * (1 - _qpow(k - j))
-    return num.exact_div(den)
+    return _ratio(_qpow, range(2 * d, 2 * d - 2 * k, -2), range(k, 0, -1))
 
 
 def hyperbolic_isotropic_count(d: int, k: int, l: int) -> MultiPoly:
@@ -121,68 +119,40 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
     return MultiPoly(terms)
 
 
-@lru_cache(maxsize=None)
-def _mahonian_a(d: int) -> MultiPoly:
-    # M_d = sum_i t^i (prod_{j=i+1}^{d-1} (1-t^j)) C(d,i)_q M_i, M_0 = 1
-    if d == 0:
-        return ONE
+def _flag_sum(top: int, count, euler: bool) -> MultiPoly:
+    """Shared shape of the flag-counting recursions: sort weighted flags by
+    their largest subspace (count(k) choices in dimension k <= top) and recurse
+    into a type A interior,
+
+      sum_k x^[k>0] t^k count(k) prod_{j=k+1}^{top} (1 - x t^j) M_k,
+
+    with the marker x = s if euler, else x = 1."""
+    es = 1 if euler else 0
     total = ZERO
-    for i in range(d):
-        prod = ONE
-        for j in range(i + 1, d):
-            prod = prod * (1 - _tpow(j))
-        total = total + _tpow(i) * prod * q_binomial(d, i) * _mahonian_a(i)
+    prod = ONE  # prod_{j=k+1}^{top} (1 - x t^j), grown as k falls
+    for k in range(top, -1, -1):
+        mark = MultiPoly.monomial(1, et=k, es=es if k else 0)
+        total = total + mark * count(k) * prod * _mahonian_a(k, euler)
+        if k:
+            prod = prod * (1 - MultiPoly.monomial(1, et=k, es=es))
     return total
 
 
 @lru_cache(maxsize=None)
-def _mahonian_a_euler(d: int) -> MultiPoly:
+def _mahonian_a(d: int, euler: bool) -> MultiPoly:
+    # M_d = sum_{i<d} x^[i>0] t^i (prod_{j=i+1}^{d-1} (1-x t^j)) C(d,i)_q M_i, M_0 = 1
     if d == 0:
         return ONE
-    base = ONE
-    for j in range(1, d):
-        base = base * (1 - _S * _tpow(j))
-    total = base
-    for k in range(1, d):
-        prod = ONE
-        for j in range(k + 1, d):
-            prod = prod * (1 - _S * _tpow(j))
-        total = total + _S * _tpow(k) * q_binomial(d, k) * prod * _mahonian_a_euler(k)
-    return total
-
-
-def _mahonian_signed(d: int, count_factor, euler: bool) -> MultiPoly:
-    """Shared shape of the BC and D recursions: sort weighted flags by their
-    largest subspace (count_factor(k) choices in dimension k) and recurse into
-    a type A interior; the s-marked variant pulls the empty-flag term out of
-    the sum."""
-    if not euler:
-        total = ZERO
-        for k in range(d + 1):
-            prod = ONE
-            for j in range(k + 1, d + 1):
-                prod = prod * (1 - _tpow(j))
-            total = total + _tpow(k) * count_factor(k) * prod * _mahonian_a(k)
-        return total
-    total = ONE
-    for j in range(1, d + 1):
-        total = total * (1 - _S * _tpow(j))
-    for k in range(1, d + 1):
-        prod = ONE
-        for j in range(k + 1, d + 1):
-            prod = prod * (1 - _S * _tpow(j))
-        total = total + _S * _tpow(k) * count_factor(k) * prod * _mahonian_a_euler(k)
-    return total
+    return _flag_sum(d - 1, lambda k: q_binomial(d, k), euler)
 
 
 def mahonian_recursive(fam: GroupFamily, euler: bool = False) -> MultiPoly:
     """Recursion route for the same polynomial as mahonian_direct."""
     d = fam.d
     if fam.tag == "A":
-        return _mahonian_a_euler(d) if euler else _mahonian_a(d)
-    if fam.tag == "BC":
-        return _mahonian_signed(d, lambda k: symplectic_isotropic_count(d, k), euler)
-    return _mahonian_signed(d, lambda k: even_isotropic_count(d, k), euler)
+        return _mahonian_a(d, euler)
+    count = symplectic_isotropic_count if fam.tag == "BC" else even_isotropic_count
+    return _flag_sum(d, lambda k: count(d, k), euler)
 
 
 def qbinomial_theorem_sides(d: int, a: int) -> tuple[MultiPoly, MultiPoly]:
@@ -197,14 +167,6 @@ def qbinomial_theorem_sides(d: int, a: int) -> tuple[MultiPoly, MultiPoly]:
     for j in range(d):
         rhs = rhs * (1 + _T * _qpow(j + a))
     return lhs, rhs
-
-
-def _prod_ratio_t(d: int) -> MultiPoly:
-    # prod_{j=1}^{d} (1-t^j)/(1-t)
-    num = ONE
-    for j in range(1, d + 1):
-        num = num * (1 - _tpow(j))
-    return num.exact_div((1 - _T) ** d)
 
 
 CLOSED_FORM_NAMES = (
@@ -229,32 +191,18 @@ def closed_form(name: str, d: int) -> MultiPoly:
     """
     if d < 0:
         raise ValueError("d must be >= 0")
+    ones = [1] * d
     if name == "a_length":
-        num = ONE
-        for j in range(1, d + 1):
-            num = num * (1 - _qpow(j))
-        return num.exact_div((1 - _Q) ** d)
+        return _ratio(_qpow, range(1, d + 1), ones)
     if name == "a_wmaj":
-        return _prod_ratio_t(d)
+        return _ratio(_tpow, range(1, d + 1), ones)
     if name == "bc_length":
-        num = ONE
-        for j in range(1, d + 1):
-            num = num * (1 - _qpow(2 * j))
-        return num.exact_div((1 - _Q) ** d)
+        return _ratio(_qpow, range(2, 2 * d + 1, 2), ones)
     if name == "bc_wmaj":
-        num = (1 + _T) ** d
-        for j in range(1, d + 1):
-            num = num * (_tpow(j) - 1)
-        return num.exact_div((_T - 1) ** d)
+        return (1 + _T) ** d * _ratio(_tpow, range(1, d + 1), ones)
     if name == "d_length":
-        if d == 0:
-            return ONE
-        num = ONE
-        for j in range(1, d):
-            num = num * (1 - _qpow(2 * j))
-        num = num * (1 - _qpow(d))
-        return num.exact_div((1 - _Q) ** d)
+        return _ratio(_qpow, [*range(2, 2 * d - 1, 2), d], ones) if d else ONE
     if name == "d_wmaj":
         half = ((1 - _T) ** d + (1 + _T) ** d).exact_div(2)
-        return half * _prod_ratio_t(d)
+        return half * _ratio(_tpow, range(1, d + 1), ones)
     raise ValueError(f"unknown closed form {name!r}; known: {CLOSED_FORM_NAMES}")

@@ -18,25 +18,9 @@ The type-D Euler-extended direct-vs-recursion comparison is reported (INFO)
 rather than gated.
 """
 
-from math import comb
-
-import pytest
-
 from weylmahonian import checks
-from weylmahonian.algebra import MultiPoly, TruncSeries
-from weylmahonian.statistics import (
-    closed_form,
-    mahonian_direct,
-    mahonian_recursive,
-    qbinomial_theorem_sides,
-)
-from weylmahonian.weylgroups import (
-    GroupFamily,
-    coxeter_word_length,
-    enumerate_group,
-    length,
-    wmaj,
-)
+from weylmahonian.statistics import closed_form, mahonian_direct, mahonian_recursive
+from weylmahonian.weylgroups import GroupFamily, coxeter_word_length, length
 
 from reference_tables import BC_TABLES, D_TABLES, table_poly
 
@@ -45,6 +29,10 @@ def report(criterion: str, ok: bool, detail: str = ""):
     tag = "PASS" if ok else "FAIL"
     print(f"{tag}  {criterion}" + (f"  ({detail})" if detail else ""))
     assert ok, f"{criterion}: {detail}"
+
+
+def passes(rep):
+    assert rep.passed, f"{rep.label()}: {rep.discrepancy}"
 
 
 def test_criterion_1_reference_tables():
@@ -62,14 +50,9 @@ def test_criterion_2_direct_equals_recursive():
     grids = [("A", 7, True), ("BC", 5, True), ("D", 5, False)]
     for tag, dmax, euler_too in grids:
         for d in range(dmax + 1):
-            fam = GroupFamily(tag, d)
-            assert mahonian_direct(fam) == mahonian_recursive(fam), (tag, d)
+            passes(checks.direct_vs_recursive(tag, d))
             if euler_too:
-                assert mahonian_direct(fam, euler=True) == mahonian_recursive(fam, euler=True), (
-                    tag,
-                    d,
-                    "euler",
-                )
+                passes(checks.direct_vs_recursive(tag, d, euler=True))
     report("criterion 2: direct = recursive (A<=7, BC<=5, D<=5; +euler A,BC)", True)
     # reported, not gated: the type-D Euler-extended comparison
     for d in range(6):
@@ -81,9 +64,7 @@ def test_criterion_2_direct_equals_recursive():
 def test_criterion_3_length_equals_word_length():
     for tag in ("BC", "D"):
         for d in range(1, 6):
-            fam = GroupFamily(tag, d)
-            for perm in enumerate_group(fam):
-                assert length(perm, fam) == coxeter_word_length(perm, fam), (tag, d, perm)
+            passes(checks.length_vs_bfs(tag, d))
     assert length((-2, -3, 1), GroupFamily("BC", 3)) == 6
     assert coxeter_word_length((-2, -3, 1), GroupFamily("BC", 3)) == 6
     assert length((-2, 4, -3, 1), GroupFamily("D", 4)) == 8
@@ -100,34 +81,27 @@ def test_criterion_4_flag_series_theorems():
             for kind in ("C", "B", "D"):
                 cases.append((kind, p, 2, alpha))
     for kind, p, d, alpha in cases:
-        rep = checks.flag_series_theorem(kind, p, d, 12, alpha)
-        assert rep.passed, f"{rep.label()}: {rep.discrepancy}"
+        passes(checks.flag_series_theorem(kind, p, d, 12, alpha))
     report("criterion 4: flag-series theorems at p in {3,5}, T=12 (plain and s-marked)", True)
 
 
 def test_criterion_5_counting_formulas():
     for p in (3, 5):
         for d in range(1, 7):
-            rep = checks.subspace_count_grassmann(p, d)
-            assert rep.passed, rep.discrepancy
+            passes(checks.subspace_count_grassmann(p, d))
         for d in (1, 2, 3):  # symplectic dim 2d <= 6
-            rep = checks.subspace_count_isotropic("C", p, d)
-            assert rep.passed, rep.discrepancy
+            passes(checks.subspace_count_isotropic("C", p, d))
         for d in (1, 2):  # odd quadratic dim 2d+1 <= 6
-            rep = checks.subspace_count_isotropic("B", p, d)
-            assert rep.passed, rep.discrepancy
+            passes(checks.subspace_count_isotropic("B", p, d))
         for d in (1, 2, 3):  # hyperbolic dim 2d <= 6, counts per excess l
-            rep = checks.subspace_count_hyperbolic(p, d)
-            assert rep.passed, rep.discrepancy
+            passes(checks.subspace_count_hyperbolic(p, d))
     report("criterion 5: subspace counting formulas, dim <= 6, p in {3,5}", True)
 
 
 def test_criterion_6_canonical_cell_counts():
     for p in (2, 3):
-        rep = checks.canonical_cell_counts("A", p, 3)
-        assert rep.passed, rep.discrepancy
-    rep = checks.canonical_cell_counts("C", 3, 2)
-    assert rep.passed, rep.discrepancy
+        passes(checks.canonical_cell_counts("A", p, 3))
+    passes(checks.canonical_cell_counts("C", 3, 2))
     report("criterion 6: canonical-basis counts p^inv (S_3) and p^length (S_2^pm)", True)
 
 
@@ -135,40 +109,31 @@ def test_criterion_7_closed_form_identities():
     # q-binomial theorem, d <= 8, a <= 4
     for d in range(9):
         for a in range(5):
-            lhs, rhs = qbinomial_theorem_sides(d, a)
-            assert lhs == rhs, (d, a)
+            passes(checks.qbinomial_theorem(d, a))
     # type D Weyl-Major generating function vs direct enumeration, d <= 6
     for d in range(1, 7):
-        fam = GroupFamily("D", d)
-        direct = MultiPoly.zero()
-        for perm in enumerate_group(fam):
-            direct = direct + MultiPoly.monomial(1, et=wmaj(perm))
-        assert direct == closed_form("d_wmaj", d), d
-    # type A evaluation at q=1, d <= 7
+        passes(checks.d_wmaj_factorization(d))
+    # type A evaluation at q=1 of the recursion (the registry checks the
+    # direct sum), d <= 7
     for d in range(1, 8):
         m = mahonian_recursive(GroupFamily("A", d))
         assert m.specialize(q=1) == closed_form("a_wmaj", d), d
     # BC specializations, d <= 5
     for d in range(1, 6):
-        m = mahonian_direct(GroupFamily("BC", d))
-        assert m.specialize(t=1) == closed_form("bc_length", d), d
-        assert m.specialize(q=1) == closed_form("bc_wmaj", d), d
+        passes(checks.bc_length_factorization(d))
+        passes(checks.bc_major_factorization(d))
     # type D evaluation at t=1, d <= 5
     for d in range(1, 6):
-        m = mahonian_direct(GroupFamily("D", d))
-        assert m.specialize(t=1) == closed_form("d_length", d), d
+        passes(checks.d_length_factorization(d))
     # q-t symmetry of the type A polynomials, d <= 7
     for d in range(8):
-        m = mahonian_recursive(GroupFamily("A", d))
-        assert m == m.specialize(q="t", t="q"), d
+        passes(checks.symmetry_qt_a(d))
     # BC reciprocal symmetry, d <= 5
     for d in range(1, 6):
-        m = mahonian_direct(GroupFamily("BC", d))
-        assert m.reciprocal_conjugate(d * d, comb(d + 1, 2)) == m, d
+        passes(checks.bc_reciprocal_symmetry(d))
     # low-degree agreement between M_d and the BC polynomial, d <= 5
     for d in range(1, 6):
-        rep = checks.low_degree_agreement(d)
-        assert rep.passed, rep.discrepancy
+        passes(checks.low_degree_agreement(d))
     report("criterion 7: symbolic closed-form identities", True)
 
 
@@ -176,16 +141,12 @@ def test_criterion_8_structural_properties():
     # standard weights equal maj/Wmaj for every flag of the criterion 4 grid
     for p in (3, 5):
         for d in (1, 2, 3):
-            rep = checks.standard_weight_flags("A", p, d)
-            assert rep.passed, rep.discrepancy
+            passes(checks.standard_weight_flags("A", p, d))
         for kind in ("C", "B", "D"):
-            rep = checks.standard_weight_flags(kind, p, 2)
-            assert rep.passed, rep.discrepancy
+            passes(checks.standard_weight_flags(kind, p, 2))
     # refinement counts 2^(d-k) for type A, d <= 3, p = 2
     for d in (1, 2, 3):
-        rep = checks.refinement_counts(2, d)
-        assert rep.passed, rep.discrepancy
+        passes(checks.refinement_counts(2, d))
     # the two printed Rothe diagrams
-    rep = checks.rothe_worked_examples()
-    assert rep.passed, rep.discrepancy
+    passes(checks.rothe_worked_examples())
     report("criterion 8: standard weights, refinement counts, Rothe tallies", True)

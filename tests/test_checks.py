@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from weylmahonian.checks import (
     REGISTRY,
     CheckReport,
+    _scan,
     default_grid,
     run_all,
     run_identity_check,
@@ -36,6 +40,33 @@ def test_failure_reports_discrepancy():
     rep = _poly_report("adhoc", {}, 1 + q, 1 + q + q**2)
     assert not rep.passed
     assert "q^2" in rep.discrepancy
+
+
+def test_scan_reports_counts_and_first_failure():
+    rep = _scan("adhoc", {"n": 4}, range(4), lambda k: f"odd {k}" if k % 2 else None)
+    assert not rep.passed
+    assert rep.lhs == "2 of 4 cases agree"
+    assert rep.rhs == "4 cases expected"
+    assert rep.discrepancy == "odd 1"
+    rep = _scan("adhoc", {}, range(3), lambda k: None, extra="outside the cases")
+    assert (rep.passed, rep.lhs, rep.rhs) == (False, "2 of 3 cases agree", "3 cases expected")
+    assert rep.discrepancy == "outside the cases"
+    rep = _scan("adhoc", {}, [], lambda k: "never called")
+    assert (rep.passed, rep.lhs, rep.rhs, rep.discrepancy) == (True, "0 of 0 cases agree", "0 cases expected", None)
+
+
+@pytest.mark.parametrize(
+    "kwargs, points, digest",
+    [
+        ({}, 355, "5c06641df574c921f9a1618dce1e1aa6a6c592f0a84cd08e97b4ff24494ec21f"),
+        ({"max_d": 2}, 182, "4971f41f61127a2b8ecbf822b166a2576251ac5ae8060d841ac617123b604df5"),
+        ({"primes": [3], "trunc": 6}, 316, "83f84a11adbe14c0498b2ffe6ad0e7cdd52e87bf71fc8ad1e0a8037c9ee9187c"),
+    ],
+)
+def test_registry_grids_are_pinned(kwargs, points, digest):
+    grid = [[name, params] for name in REGISTRY for params in default_grid(name, **kwargs)]
+    assert len(grid) == points
+    assert hashlib.sha256(json.dumps(grid).encode()).hexdigest() == digest
 
 
 def test_default_grids_respect_limits():

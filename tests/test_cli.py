@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import weylmahonian
 from weylmahonian.algebra import poly_from_json, poly_text
 from weylmahonian.cli import run
 from weylmahonian.statistics import mahonian_direct
@@ -105,6 +109,40 @@ def test_verify_list(capsys):
 def test_verify_requires_selection(capsys):
     code, _ = invoke(capsys, "verify")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--check", "flag_series_theorem", "--primes", "7"),
+        ("verify", "--check", "direct_vs_recursive", "--max-d", "-1"),
+    ],
+)
+def test_verify_empty_selection_is_usage_error(capsys, argv):
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "no check point" in captured.err
+
+
+def test_closed_stdout_pipe_exits_141_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: every write fails
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylmahonian.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylmahonian.cli", "verify", "--check", "qbinomial_theorem", "--max-d", "2"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_usage_errors_exit_2(capsys):

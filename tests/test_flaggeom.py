@@ -296,22 +296,13 @@ def test_extracted_bases_match_rothe_structure(space, kind):
                     assert val == 0, (kind, perm, col_idx)
 
 
-def test_flag_serialization_round_trip():
-    import json
-
-    sp = symplectic_space(3, 2)
-    for chain in enumerate_flags(sp):
-        from weylmahonian.flaggeom import flag_from_lists, flag_to_lists
-
-        data = json.loads(json.dumps(flag_to_lists(chain)))
-        assert flag_from_lists(sp, data) == chain
-
-
 def test_space_for_family():
     assert space_for_family("A", 3, 2).kind == "linear"
     assert space_for_family("C", 3, 2).kind == "symplectic"
     assert space_for_family("B", 3, 2).kind == "quadratic"
     assert space_for_family("D", 3, 2).kind == "hyperbolic"
+    tags = [space_for_family(kind, 3, 2).family for kind in ("A", "C", "B", "D")]
+    assert tags == [GroupFamily(tag, 2) for tag in ("A", "BC", "BC", "D")]
 
 
 def test_deterministic_enumeration():
