@@ -10,9 +10,11 @@ are never stored, so two polynomials are equal iff their term dicts are equal.
 All coefficients are Python ints (arbitrary precision); no floats anywhere.
 
 A TruncSeries is a power series in t truncated at a fixed degree ``bound``:
-a list of bound+1 coefficients, each a MultiPoly in q and s only (t-degree 0).
-Arithmetic never reads or writes t-degrees above the bound, which makes
-products of the geometric factors 1/(1-t^j) and 1/(1-s*t^j) finite objects.
+one MultiPoly with no term of t-degree above the bound.  Its arithmetic is
+the MultiPoly arithmetic followed by dropping the terms above t^bound, which
+makes products of the geometric factors 1/(1-t^j) and 1/(1-s*t^j) finite
+objects.  The coefficient of t^n, a MultiPoly in q and s only, is read off
+the terms of t-degree n.
 
 Term order everywhere (iteration, text, JSON, LaTeX) is lexicographic on
 (eq, et, es), so all emitted output is byte-stable.
@@ -321,20 +323,20 @@ def poly_latex_table(p: MultiPoly) -> str:
 class TruncSeries:
     """Power series in t truncated at ``bound``; coefficients live in Z[q, s]."""
 
-    __slots__ = ("bound", "coeffs")
+    __slots__ = ("bound", "poly")
 
     def __init__(self, bound: int, coeffs: list[MultiPoly] | None = None):
         if bound < 0:
             raise ValueError("truncation bound must be >= 0")
-        self.bound = bound
         cs = list(coeffs) if coeffs is not None else []
         if len(cs) > bound + 1:
             raise ValueError("more coefficients than the bound allows")
-        cs += [ZERO] * (bound + 1 - len(cs))
-        for c in cs:
-            if c.degree("t"):
-                raise ValueError("series coefficients must be free of t")
-        self.coeffs = cs
+        if any(c.degree("t") for c in cs):
+            raise ValueError("series coefficients must be free of t")
+        self.bound = bound
+        self.poly = MultiPoly(
+            {(eq, n, es): v for n, c in enumerate(cs) for (eq, _, es), v in c.terms.items()}
+        )
 
     @classmethod
     def zero(cls, bound: int) -> "TruncSeries":
@@ -346,24 +348,26 @@ class TruncSeries:
 
     @classmethod
     def from_poly(cls, p: MultiPoly, bound: int) -> "TruncSeries":
-        """Truncate a polynomial, splitting off powers of t."""
-        coeffs = [ZERO] * (bound + 1)
-        for (eq, et, es), c in p.terms.items():
-            if et <= bound:
-                coeffs[et] = coeffs[et] + MultiPoly.monomial(c, eq=eq, es=es)
-        return cls(bound, coeffs)
+        """Truncate a polynomial: drop its terms above t^bound."""
+        out = cls(bound)
+        out.poly = MultiPoly({e: c for e, c in p.terms.items() if e[1] <= bound})
+        return out
 
     @classmethod
     def geometric_factor(cls, j: int, with_s: bool, bound: int) -> "TruncSeries":
         """1 + x*t^j + x^2*t^2j + ... truncated, with x = s if with_s else 1."""
         if j < 1:
             raise ValueError("geometric factor needs j >= 1")
-        coeffs = [ZERO] * (bound + 1)
-        m = 0
-        while m * j <= bound:
-            coeffs[m * j] = MultiPoly.monomial(1, es=m if with_s else 0)
-            m += 1
-        return cls(bound, coeffs)
+        terms = {(0, m * j, m if with_s else 0): 1 for m in range(bound // j + 1)}
+        return cls.from_poly(MultiPoly(terms), bound)
+
+    @property
+    def coeffs(self) -> list[MultiPoly]:
+        """The coefficients of t^0, ..., t^bound, as a fresh list."""
+        rows: list[dict[Exponent, int]] = [{} for _ in range(self.bound + 1)]
+        for (eq, et, es), c in self.poly.terms.items():
+            rows[et][(eq, 0, es)] = c
+        return [MultiPoly(r) for r in rows]
 
     def coefficient(self, n: int) -> MultiPoly:
         return self.coeffs[n]
@@ -375,27 +379,19 @@ class TruncSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.bound == other.bound and self.coeffs == other.coeffs
+        return self.bound == other.bound and self.poly == other.poly
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_bound(other)
-        return TruncSeries(self.bound, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return TruncSeries.from_poly(self.poly + other.poly, self.bound)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_bound(other)
-        return TruncSeries(self.bound, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return TruncSeries.from_poly(self.poly - other.poly, self.bound)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_bound(other)
-        out = [ZERO] * (self.bound + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.bound + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(self.bound, out)
+        return TruncSeries.from_poly(self.poly * other.poly, self.bound)
 
     def __iter__(self) -> Iterator[MultiPoly]:
         return iter(self.coeffs)

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .algebra import MultiPoly, TruncSeries, poly_text
 from . import flaggeom, statistics
@@ -664,9 +664,9 @@ def default_grid(name: str, max_d=None, primes=None, trunc=None) -> list[dict]:
 
 def run_all(
     names: Iterable[str] | None = None, max_d=None, primes=None, trunc=None
-) -> list[CheckReport]:
-    return [
-        run_identity_check(name, params)
-        for name in (names if names is not None else REGISTRY)
-        for params in default_grid(name, max_d, primes, trunc)
-    ]
+) -> Iterator[CheckReport]:
+    """Stream the reports of the named checks (all by default) over their
+    default grids, each computed only when it is asked for."""
+    for name in names if names is not None else REGISTRY:
+        for params in default_grid(name, max_d, primes, trunc):
+            yield run_identity_check(name, params)

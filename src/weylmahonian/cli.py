@@ -106,19 +106,20 @@ def _cmd_verify(args) -> int:
     if not names and not args.all:
         print("verify: pass --all or at least one --check NAME", file=sys.stderr)
         return 2
-    reports = checks.run_all(names, max_d=args.max_d, primes=args.primes, trunc=args.trunc)
-    if not reports:
-        print("verify: the selection matches no check point", file=sys.stderr)
-        return 2
-    tags = ["PASS" if rep.passed else "FAIL" if rep.gating else "INFO" for rep in reports]
-    for rep, tag in zip(reports, tags):
+    tags = []
+    for rep in checks.run_all(names, max_d=args.max_d, primes=args.primes, trunc=args.trunc):
+        tag = "PASS" if rep.passed else "FAIL" if rep.gating else "INFO"
+        tags.append(tag)
         if args.json:
-            print(json.dumps(rep.to_json()))
+            line = json.dumps(rep.to_json())
         else:
             line = f"{tag:4}  {rep.label()}"
             if not rep.passed:
                 line += f"  [{rep.discrepancy}]"
-            print(line)
+        print(line, flush=True)  # a closed pipe is noticed at the next report
+    if not tags:
+        print("verify: the selection matches no check point", file=sys.stderr)
+        return 2
     failed, info = tags.count("FAIL"), tags.count("INFO")
     if not args.json:
         summary = f"{tags.count('PASS')} passed, {failed} failed"

@@ -21,7 +21,7 @@ prod_i x*t^(dim V_i) / (1 - x*t^(dim V_i)) with x = s or 1.
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -35,22 +35,17 @@ Subspace = tuple[Vector, ...]  # RREF rows
 Flag = tuple[Subspace, ...]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
-
-
-def max_cells() -> int:
-    """Enumeration safety valve, overridable via WM_MAX_CELLS."""
-    return int(os.environ.get("WM_MAX_CELLS", "10000000"))
+MAX_CELLS = 10_000_000  # enumeration safety valve on p^dim
 
 
 # -- GF(p) linear algebra on tuple vectors -----------------------------------
 
 
-def _eliminate(rows: Sequence[Sequence[int]], p: int, cols: Sequence[int]) -> tuple[list, list]:
+def _eliminate(rows: Sequence[Sequence[int]], p: int, cols: Sequence[int]) -> list[tuple[int, list[int]]]:
     """Gauss-Jordan elimination taking pivot columns in the given order.
 
     Returns the (column, normalized row) pivots in the order found, each
-    cleared at every other pivot column, and the nonzero rows left over once
-    the columns ran out.
+    cleared at every other pivot column.
     """
     mat = [[x % p for x in row] for row in rows]
     pivots: list[tuple[int, list[int]]] = []
@@ -73,12 +68,12 @@ def _eliminate(rows: Sequence[Sequence[int]], p: int, cols: Sequence[int]) -> tu
         mat = [r for r in mat if any(r)]
         if not mat:
             break
-    return pivots, mat
+    return pivots
 
 
 def rref(rows: Sequence[Sequence[int]], p: int) -> Subspace:
     """Reduced row echelon form; zero rows dropped, rows ordered by pivot."""
-    pivots, _ = _eliminate(rows, p, range(len(rows[0]) if rows else 0))
+    pivots = _eliminate(rows, p, range(len(rows[0]) if rows else 0))
     return tuple(tuple(r) for _, r in sorted(pivots))
 
 
@@ -88,7 +83,7 @@ def rank(rows: Sequence[Sequence[int]], p: int) -> int:
 
 def nullspace(constraints: Sequence[Sequence[int]], n: int, p: int) -> list[Vector]:
     """Basis of {x in F_p^n : c . x = 0 for every constraint row c}."""
-    pivots, _ = _eliminate(constraints, p, range(n))
+    pivots = _eliminate(constraints, p, range(n))
     basis = []
     for fc in sorted(set(range(n)) - {pc for pc, _ in pivots}):
         v = [0] * n
@@ -204,12 +199,6 @@ class FqSpace:
             return sum(v[c] * v[2 * d - 1 - c] for c in range(d)) % p
         return (v[d] * v[d] + sum(v[c] * v[2 * d - c] for c in range(d))) % p
 
-    def metabolizer(self) -> Subspace:
-        if self.kind != "hyperbolic":
-            raise ValueError("only the hyperbolic space carries a metabolizer")
-        n = self.dim
-        return tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(self.d))
-
 
 def linear_space(p: int, n: int) -> FqSpace:
     return FqSpace(p, "linear", n)
@@ -259,10 +248,8 @@ def _row_candidates(dim: int, pivots: tuple[int, ...], r: int, p: int) -> list[V
 
 
 def _guard_cells(space: FqSpace) -> None:
-    if space.p**space.dim > max_cells():
-        raise ValueError(
-            f"p^dim = {space.p}^{space.dim} exceeds the cell cap {max_cells()} (WM_MAX_CELLS)"
-        )
+    if space.p**space.dim > MAX_CELLS:
+        raise ValueError(f"p^dim = {space.p}^{space.dim} exceeds the cell cap {MAX_CELLS}")
 
 
 def enumerate_subspaces(space: FqSpace, k: int, isotropic_only: bool = False) -> Iterator[Subspace]:
@@ -399,26 +386,6 @@ def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSe
 # -- canonical bases ------------------------------------------------------------
 
 
-def _subspace_with_zeros(rows: Sequence[Vector], zero_cols: Sequence[int], p: int) -> list[Vector]:
-    """Basis of {v in rowspan(rows) : v[c] = 0 for c in zero_cols}."""
-    rows = [tuple(r) for r in rows]
-    if not rows:
-        return []
-    if not zero_cols:
-        return list(rows)
-    constraints = [[row[c] for row in rows] for c in zero_cols]
-    out = []
-    n = len(rows[0])
-    for x in nullspace(constraints, len(rows), p):
-        v = [0] * n
-        for c, row in zip(x, rows):
-            if c:
-                v = [(a + c * b) % p for a, b in zip(v, row)]
-        if any(v):
-            out.append(tuple(v))
-    return out
-
-
 def _perp_space(space: FqSpace, vectors: Sequence[Vector]) -> list[Vector]:
     """Basis of the orthogonal complement of the given vectors."""
     n, p = space.dim, space.p
@@ -428,31 +395,6 @@ def _perp_space(space: FqSpace, vectors: Sequence[Vector]) -> list[Vector]:
     for f in vectors:
         constraints.append([space.bilinear(f, tuple(1 if c == a else 0 for c in range(n))) for a in range(n)])
     return nullspace(constraints, n, p)
-
-
-def _minimal_vector(
-    rows: Sequence[Vector], ordered_cols: Sequence[int], n_primary: int, p: int
-) -> tuple[Vector, int]:
-    """The unique (normalized) vector of the span whose last nonzero primary
-    coordinate comes earliest in priority.
-
-    ordered_cols lists columns worst-first: the primary columns (those that
-    count towards the "length" of a vector) in decreasing badness, then the
-    ignored secondary columns.  Eliminating in that order leaves each pivot
-    row zeroed at every worse column, so the last primary pivot row is the
-    minimum (back-substitution never touches the last pivot row); a pivot
-    inside the secondary block means the span contains a vector supported on
-    ignored columns only, which the constructions here never produce.
-    """
-    if not any(any(r) for r in rows):
-        raise ValueError("empty span has no minimal vector")
-    pivots, rest = _eliminate(rows, p, ordered_cols)
-    if pivots and ordered_cols.index(pivots[-1][0]) >= n_primary:
-        raise ValueError("degenerate span: vector supported on ignored columns")
-    if rest or not pivots:
-        raise ValueError("span not exhausted by the given columns")
-    col, row = pivots[-1]
-    return tuple(row), col
 
 
 def validate_flag(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) -> Flag:
@@ -499,16 +441,20 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
     for i in range(steps):
         if i < flag_top:
             target = next(m for m in chain if len(m) > i)
-            w_rows = _subspace_with_zeros(target, bullet_cols, p)
         elif linear:
-            w_rows = _subspace_with_zeros(full, bullet_cols, p)
+            target = full
         else:
-            w_rows = _subspace_with_zeros(_perp_space(space, fs), bullet_cols, p)
+            target = _perp_space(space, fs)
         used = set(bullet_cols) | set(mirror_cols)
-        avail = [c for c in range(n) if c not in used]
-        ordered = sorted(avail, reverse=True) + sorted(mirror_cols, reverse=True)
-        vec, col = _minimal_vector(w_rows, ordered, len(avail), p)
-        fs.append(vec)
+        avail = sorted((c for c in range(n) if c not in used), reverse=True)
+        # The pivots after the used positions span the target vectors that
+        # vanish there; with the available columns taken worst-first, the last
+        # pivot row is the minimal such vector.
+        pivots = _eliminate(target, p, bullet_cols + avail + sorted(mirror_cols, reverse=True))
+        col, vec = pivots[-1]
+        if col not in avail:
+            raise ValueError("degenerate span: minimal vector ends at a used or mirror column")
+        fs.append(tuple(vec))
         idx = space.signed_index(col)
         sigma.append(idx)
         bullet_cols.append(col)
@@ -523,26 +469,11 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
 @lru_cache(maxsize=None)
 def _complete_flag_tally(space: FqSpace) -> dict[SignedPerm, int]:
     """Length-permutation tally over all complete flags of the space."""
-    levels = _subspaces_by_dim(space)
-    p = space.p
-    steps = space.iso_max
-    tally: dict[SignedPerm, int] = {}
-
-    def rec(chain: list[Subspace]) -> None:
-        m = len(chain)
-        if m == steps:
-            _, perm = canonical_basis(space, chain)
-            tally[perm] = tally.get(perm, 0) + 1
-            return
-        top = chain[-1] if chain else ()
-        for sub in levels[m + 1]:
-            if not chain or subspace_le(top, sub, p):
-                chain.append(sub)
-                rec(chain)
-                chain.pop()
-
-    rec([])
-    return tally
+    return Counter(
+        canonical_basis(space, chain)[1]
+        for chain in enumerate_flags(space, even_only=False)
+        if len(chain) == space.iso_max
+    )
 
 
 def count_canonical_bases(space: FqSpace, perm: SignedPerm) -> int:

@@ -153,6 +153,13 @@ def test_series_mul_commutes_with_poly_mul():
         assert lhs == TruncSeries.from_poly(a * b, bound)
 
 
+def test_series_cannot_be_changed_through_coeffs():
+    s = TruncSeries.one(3)
+    s.coeffs[0] = MultiPoly.const(5)
+    assert s == TruncSeries.one(3)
+    assert str(s) == "1 + O(t^4)"
+
+
 def test_series_coefficients_stay_t_free():
     s = TruncSeries.from_poly(Q * T**2 + S, 5)
     assert all(c.degree("t") == 0 for c in s.coeffs)

@@ -97,6 +97,19 @@ def test_non_gating_check_is_marked():
 
 
 def test_run_all_small_slice():
-    reports = run_all(["qbinomial_theorem", "central_element_identities"], max_d=2)
+    reports = list(run_all(["qbinomial_theorem", "central_element_identities"], max_d=2))
     assert reports
     assert all(r.passed for r in reports)
+
+
+def test_run_all_computes_reports_on_demand(monkeypatch):
+    ran = []
+
+    def probe(d):
+        ran.append(d)
+        return CheckReport("probe", {"d": d}, True, "0", "0")
+
+    monkeypatch.setitem(REGISTRY, "probe", (probe, lambda *_: [{"d": d} for d in range(3)]))
+    reports = run_all(["probe"])
+    assert next(reports).params == {"d": 0}
+    assert ran == [0]  # the later grid points have not run
