@@ -3,10 +3,12 @@
 A polynomial is a finite map from exponent triples to nonzero integer
 coefficients:
 
-  MultiPoly.terms : dict[(eq, et, es), int]
+  MultiPoly.terms : read-only mapping (eq, et, es) -> int
 
 with (eq, et, es) the degrees of q, t, s in the monomial.  Zero coefficients
-are never stored, so two polynomials are equal iff their term dicts are equal.
+are never stored, so two polynomials are equal iff their term maps are equal.
+The map is a read-only view, so a polynomial handed out by a cache or held as
+a module constant cannot be changed in place.
 All coefficients are Python ints (arbitrary precision); no floats anywhere.
 
 A TruncSeries is a power series in t truncated at a fixed degree ``bound``:
@@ -22,6 +24,7 @@ Term order everywhere (iteration, text, JSON, LaTeX) is lexicographic on
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 VARS = ("q", "t", "s")
@@ -49,7 +52,7 @@ class MultiPoly:
                 if eq < 0 or et < 0 or es < 0:
                     raise ValueError(f"negative exponent in {exp}")
                 clean[(eq, et, es)] = coeff
-        self.terms = clean
+        self.terms = MappingProxyType(clean)
 
     # -- constructors ------------------------------------------------------
 
@@ -93,7 +96,7 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = _coerce(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
         return MultiPoly(out)
@@ -209,7 +212,7 @@ class MultiPoly:
             raise ZeroDivisionError("polynomial division by zero")
         lead = max(divisor.terms)
         lead_c = divisor.terms[lead]
-        rem = dict(self.terms)
+        rem = self.terms.copy()
         out: dict[Exponent, int] = {}
         while rem:
             e = max(rem)

@@ -35,6 +35,16 @@ def _parse_perm(text: str) -> tuple[int, ...]:
     return perm
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_primes(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
@@ -58,9 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this check (repeatable); see --list")
     v.add_argument("--all", action="store_true", help="run every registered check")
     v.add_argument("--list", action="store_true", help="list check names and exit")
-    v.add_argument("--max-d", type=int, default=None)
+    v.add_argument("--max-d", type=_non_negative, default=None)
     v.add_argument("--primes", type=_parse_primes, default=None, metavar="P1,P2")
-    v.add_argument("--trunc", type=int, default=None)
+    v.add_argument("--trunc", type=_non_negative, default=None)
     v.add_argument("--json", action="store_true", help="emit one JSON report per line")
 
     f = sub.add_parser("flags", help="print the weighted-flag series of a space")

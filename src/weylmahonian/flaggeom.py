@@ -2,7 +2,8 @@
 
 Vectors are tuples of ints mod p; a subspace is the tuple of rows of its
 reduced row echelon form (the unique canonical representative, rows ordered by
-pivot).  Coordinates of the typed spaces are stored in <_pm index order:
+pivot).  Coordinates of the typed spaces are stored in <_pm index order
+(FqSpace.columns, from weylgroups.pm_coordinates):
 
   symplectic / hyperbolic (dim 2d):  x_1, ..., x_d, x_-d, ..., x_-1
   odd quadratic (dim 2d+1):          x_1, ..., x_d, x_0, x_-d, ..., x_-1
@@ -16,7 +17,9 @@ A flag is a strictly increasing chain of nonzero subspaces (isotropic ones
 for the typed spaces; for the hyperbolic space the *last* member must have
 even parity dim(V) - dim(V & I)).  Weighted flags are never enumerated
 weight by weight: each flag contributes the closed truncated factor
-prod_i x*t^(dim V_i) / (1 - x*t^(dim V_i)) with x = s or 1.
+prod_i x*t^(dim V_i) / (1 - x*t^(dim V_i)) with x = s or 1, which depends
+on the flag only through its dimension signature, so the flags are counted
+by signature and each signature's factor is formed once.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import TruncSeries
-from .weylgroups import GroupFamily, SignedPerm, check_member, pm_less
+from .algebra import MultiPoly, TruncSeries
+from .weylgroups import GroupFamily, SignedPerm, check_member, pm_coordinates, pm_less
 
 Vector = tuple[int, ...]
 Subspace = tuple[Vector, ...]  # RREF rows
@@ -149,30 +152,10 @@ class FqSpace:
         """Largest dimension of the subspaces a flag may contain."""
         return self.dim if self.kind == "linear" else self.d
 
-    def signed_index(self, pos: int) -> int:
-        """Signed coordinate index at a storage position (1-based for linear)."""
-        d = self.d
-        if self.kind == "linear":
-            return pos + 1
-        if self.kind == "quadratic":
-            if pos < d:
-                return pos + 1
-            if pos == d:
-                return 0
-            return pos - (2 * d + 1)
-        return pos + 1 if pos < d else pos - 2 * d
-
-    def position(self, index: int) -> int:
-        d = self.d
-        if self.kind == "linear":
-            return index - 1
-        if self.kind == "quadratic":
-            if index > 0:
-                return index - 1
-            if index == 0:
-                return d
-            return 2 * d + 1 + index
-        return index - 1 if index > 0 else 2 * d + index
+    @property
+    def columns(self) -> tuple[int, ...]:
+        """The signed coordinate index at each storage position (1-based for linear)."""
+        return pm_coordinates(self.d, {"linear": "A", "quadratic": "B"}.get(self.kind, "C"))
 
     def bilinear(self, u: Vector, v: Vector) -> int:
         """The symplectic form, or the polar form of Q, evaluated mod p."""
@@ -252,31 +235,26 @@ def _guard_cells(space: FqSpace) -> None:
         raise ValueError(f"p^dim = {space.p}^{space.dim} exceeds the cell cap {MAX_CELLS}")
 
 
-def enumerate_subspaces(space: FqSpace, k: int, isotropic_only: bool = False) -> Iterator[Subspace]:
-    """Deterministic stream of all k-dimensional subspaces, as RREF row tuples.
+def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
+    """Deterministic stream of the k-dimensional subspaces a flag may contain,
+    as RREF row tuples.
 
-    With isotropic_only the stream is restricted to totally isotropic
-    subspaces of the space's form (rows pairwise orthogonal, and Q = 0 on the
-    rows for the quadratic kinds).
+    For a linear space these are all k-dimensional subspaces; a typed space
+    streams its totally isotropic ones (rows pairwise orthogonal, and Q = 0 on
+    the rows for the quadratic kinds), so none above dimension d.
     """
     if not 0 <= k <= space.dim:
         raise ValueError(f"need 0 <= k <= {space.dim}, got {k}")
-    if isotropic_only and space.kind == "linear":
-        raise ValueError("linear spaces carry no form to be isotropic for")
     _guard_cells(space)
-    if k == 0:
-        yield ()
-        return
-    if isotropic_only and k > space.d:
+    if k > space.iso_max:
         return
     dim, p = space.dim, space.p
-    needs_quad = isotropic_only and space.kind in ("quadratic", "hyperbolic")
     for pivots in combinations(range(dim), k):
         cands = [_row_candidates(dim, pivots, r, p) for r in range(k)]
-        if not isotropic_only:
+        if space.kind == "linear":
             yield from product(*cands)
             continue
-        if needs_quad:
+        if space.kind in ("quadratic", "hyperbolic"):
             cands = [[v for v in rows if space.quad(v) == 0] for rows in cands]
         yield from _isotropic_dfs(space, cands, k)
 
@@ -319,18 +297,15 @@ def metabolizer_excess(space: FqSpace, rows: Subspace) -> int:
 
 @lru_cache(maxsize=None)
 def _subspaces_by_dim(space: FqSpace) -> tuple[tuple[Subspace, ...], ...]:
-    iso = space.kind != "linear"
-    return tuple(
-        tuple(enumerate_subspaces(space, m, isotropic_only=iso))
-        for m in range(space.iso_max + 1)
-    )
+    return tuple(tuple(enumerate_subspaces(space, m)) for m in range(space.iso_max + 1))
 
 
 def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[Flag]:
     """All flags (strictly increasing chains of nonzero subspaces), the empty
-    flag first.  Typed spaces restrict members to isotropic subspaces; for the
-    hyperbolic space even_only (the default) keeps only chains whose last
-    member has even parity."""
+    flag first: a depth-first walk up from the zero subspace.  Typed spaces
+    restrict members to isotropic subspaces; for the hyperbolic space
+    even_only (the default) keeps only chains whose last member has even
+    parity."""
     if even_only is None:
         even_only = space.kind == "hyperbolic"
     if even_only and space.kind != "hyperbolic":
@@ -351,24 +326,24 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
                     yield from rec(chain, sub)
                     chain.pop()
 
-    yield ()
-    for m in range(1, space.iso_max + 1):
-        for sub in levels[m]:
-            yield from rec([sub], sub)
+    yield from rec([], ())  # the walk starts at the zero subspace, levels[0]
 
 
 def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: bool = False) -> TruncSeries:
     """Sum over the chains (members of dimension <= top) of
-    prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha."""
+    prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha.
+
+    A chain's term depends only on its dimension signature, so the chains are
+    counted by signature and each signature's product is formed once."""
     factors = [
         TruncSeries.geometric_factor(m, with_alpha, bound) - TruncSeries.one(bound)
         for m in range(1, top + 1)
     ]
     total = TruncSeries.zero(bound)
-    for chain in chains:
-        term = TruncSeries.one(bound)
-        for sub in chain:
-            term = term * factors[len(sub) - 1]
+    for signature, count in Counter(tuple(map(len, chain)) for chain in chains).items():
+        term = TruncSeries(bound, [MultiPoly.const(count)])
+        for m in signature:
+            term = term * factors[m - 1]
         total = total + term
     return total
 
@@ -430,6 +405,7 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
     p, n = space.p, space.dim
     linear = space.kind == "linear"
     steps = n if linear else space.d
+    columns = space.columns
     flag_top = len(chain[-1]) if chain else 0
 
     full = [tuple(1 if c == r else 0 for c in range(n)) for r in range(n)]
@@ -455,11 +431,11 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
         if col not in avail:
             raise ValueError("degenerate span: minimal vector ends at a used or mirror column")
         fs.append(tuple(vec))
-        idx = space.signed_index(col)
+        idx = columns[col]
         sigma.append(idx)
         bullet_cols.append(col)
         if not linear:
-            mirror_cols.append(space.position(-idx))
+            mirror_cols.append(columns.index(-idx))
 
     if sorted(abs(x) for x in sigma) != list(range(1, steps + 1)):
         raise AssertionError(f"extraction produced a non-permutation {sigma}")
@@ -512,12 +488,12 @@ def refinement_count(perm: SignedPerm, fam: GroupFamily) -> int:
     return 2 ** (fam.d - k)
 
 
-def flags_by_canonical_basis(space: FqSpace) -> dict[tuple[Vector, ...], list[Flag]]:
-    """Bucket every flag of a linear space by its canonical basis."""
+def flags_by_canonical_basis(space: FqSpace) -> dict[tuple[tuple[Vector, ...], SignedPerm], list[Flag]]:
+    """Bucket every flag of a linear space by its canonical basis, keyed by
+    the (basis, length-permutation) pair that canonical_basis returns."""
     if space.kind != "linear":
         raise ValueError("refinement enumeration is implemented for linear spaces")
-    buckets: dict[tuple[Vector, ...], list[Flag]] = {}
+    buckets: dict[tuple[tuple[Vector, ...], SignedPerm], list[Flag]] = {}
     for chain in enumerate_flags(space):
-        basis, _ = canonical_basis(space, chain)
-        buckets.setdefault(basis, []).append(chain)
+        buckets.setdefault(canonical_basis(space, chain), []).append(chain)
     return buckets

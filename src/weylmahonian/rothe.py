@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .weylgroups import SignedPerm, is_signed_perm, negative_count, pm_less
+from .weylgroups import SignedPerm, is_signed_perm, negative_count, pm_coordinates, pm_less
 
 ROTHE_KINDS = ("A", "C", "B", "D")
 
@@ -90,16 +90,6 @@ class RotheDiagram:
         return "\n".join(lines)
 
 
-def _columns(kind: str, d: int) -> tuple[int, ...]:
-    if kind == "A":
-        return tuple(range(1, d + 1))
-    pos = list(range(1, d + 1))
-    neg = list(range(-d, 0))
-    if kind == "B":
-        return tuple(pos + [0] + neg)
-    return tuple(pos + neg)
-
-
 def rothe_diagram(perm: SignedPerm, kind: str) -> RotheDiagram:
     """Build the Rothe diagram of a permutation for the given type."""
     if kind not in ROTHE_KINDS:
@@ -112,7 +102,7 @@ def rothe_diagram(perm: SignedPerm, kind: str) -> RotheDiagram:
     if kind == "D" and negative_count(perm) % 2:
         raise ValueError("type D diagrams need an even number of negative entries")
     d = len(perm)
-    columns = _columns(kind, d)
+    columns = pm_coordinates(d, kind)
     where = {v: j for j, v in enumerate(perm, start=1)}  # value -> position
 
     rows = []

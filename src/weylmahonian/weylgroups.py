@@ -119,6 +119,15 @@ def pm_less(a: int, b: int) -> bool:
     return a < b
 
 
+def pm_coordinates(d: int, kind: str) -> tuple[int, ...]:
+    """Signed coordinate indices in <_pm order, 0 sitting between the signs:
+    1, ..., d for type A; 1, ..., d, then 0 (type B only), then -d, ..., -1
+    for the signed types C, B and D."""
+    if kind == "A":
+        return tuple(range(1, d + 1))
+    return (*range(1, d + 1), *((0,) if kind == "B" else ()), *range(-d, 0))
+
+
 def inversions(perm: SignedPerm) -> int:
     """Number of pairs i < j with perm[i] >_pm perm[j]."""
     n = len(perm)

@@ -160,6 +160,19 @@ def test_series_cannot_be_changed_through_coeffs():
     assert str(s) == "1 + O(t^4)"
 
 
+def test_polynomial_terms_are_read_only():
+    from weylmahonian import algebra
+    from weylmahonian.statistics import q_binomial
+
+    for poly in (algebra.ONE, q_binomial(4, 2)):
+        with pytest.raises(TypeError):
+            poly.terms[(0, 0, 0)] = 7
+    with pytest.raises(TypeError):
+        TruncSeries.one(3).coeffs[1].terms[(0, 0, 0)] = 7
+    assert algebra.ONE == MultiPoly.one() and not algebra.ZERO.terms
+    assert q_binomial(4, 2).evaluate() == 6
+
+
 def test_series_coefficients_stay_t_free():
     s = TruncSeries.from_poly(Q * T**2 + S, 5)
     assert all(c.degree("t") == 0 for c in s.coeffs)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -70,6 +71,33 @@ def test_flags_series(capsys):
     assert out.strip() == "1 + t + t^2 + t^3 + O(t^4)"
 
 
+@pytest.mark.parametrize(
+    "family, p, d, digest",
+    [
+        ("A", 2, 1, "ac0543d122d64110cf36537cd62897c2b36e8e02e3e2b57a5ca439f4a33e509f"),
+        ("A", 2, 2, "ef30cfce5034d3ff0bce53ed7885aefbcd73bc50ed63e7af85e00bf197060f5f"),
+        ("A", 2, 3, "57804314a1153c13a826c92cd54aca6b6a82c605699fb416b2ebbc84ac139613"),
+        ("C", 3, 1, "1aa1219c32992497a9d85c14abd28b73b53f3e505bf07d9a7efd0ce82ad20d77"),
+        ("C", 3, 2, "9bcf6dca8dc57e1eb873e65b7775c77e9f0933563cc4b3ed903a0034ee6275d7"),
+        ("B", 3, 1, "1aa1219c32992497a9d85c14abd28b73b53f3e505bf07d9a7efd0ce82ad20d77"),
+        ("B", 3, 2, "9bcf6dca8dc57e1eb873e65b7775c77e9f0933563cc4b3ed903a0034ee6275d7"),
+        ("D", 3, 1, "ac0543d122d64110cf36537cd62897c2b36e8e02e3e2b57a5ca439f4a33e509f"),
+        ("D", 3, 2, "e1228cbbfd2a0c5f713a4ec03c5e1471fec13f516180547e8c054c8bd0cea93f"),
+    ],
+)
+def test_flags_output_is_pinned(capsys, family, p, d, digest):
+    """SHA-256 of the flags stdout at --trunc 0, 5, 12, each plain then
+    --alpha, concatenated in that order."""
+    out = ""
+    for trunc in ("0", "5", "12"):
+        for alpha in ((), ("--alpha",)):
+            code, text = invoke(capsys, "flags", "--prime", str(p), "--family", family, "--d", str(d),
+                                "--trunc", trunc, *alpha)
+            assert code == 0
+            out += text
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_rothe_text(capsys):
     code, out = invoke(capsys, "rothe", "--perm", "-5,3,-1,6,4,-2", "--type", "C")
     assert code == 0
@@ -115,7 +143,7 @@ def test_verify_requires_selection(capsys):
     "argv",
     [
         ("verify", "--check", "flag_series_theorem", "--primes", "7"),
-        ("verify", "--check", "direct_vs_recursive", "--max-d", "-1"),
+        ("verify", "--check", "length_vs_bfs", "--max-d", "0"),
     ],
 )
 def test_verify_empty_selection_is_usage_error(capsys, argv):
@@ -124,6 +152,23 @@ def test_verify_empty_selection_is_usage_error(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert "no check point" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--max-d", "-1"), "argument --max-d: must be >= 0, got -1"),
+        (("--max-d", "1", "--trunc", "-1"), "argument --trunc: must be >= 0, got -1"),
+        (("--max-d", "1", "--trunc", "x"), "argument --trunc: invalid int value: 'x'"),
+    ],
+)
+def test_verify_rejects_negative_bounds_before_any_check(capsys, argv, message):
+    checks = ("--check", "qbinomial_theorem", "--check", "flag_series_theorem")
+    code = run(["verify", *checks, *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_closed_stdout_pipe_exits_141_quietly():

@@ -52,11 +52,11 @@ def brute_extract(space, chain):
                 best = (v, lead)
         v, lead = best
         fs.append(v)
-        idx = space.signed_index(lead)
+        idx = space.columns[lead]
         sig.append(idx)
         bullets.append(lead)
         if not linear:
-            mirrors.append(space.position(-idx))
+            mirrors.append(space.columns.index(-idx))
     return tuple(fs), tuple(sig)
 
 
