@@ -34,7 +34,6 @@ from .flaggeom import (
 from .rothe import RotheDiagram, rothe_diagram
 from .statistics import (
     closed_form,
-    isotropic_subspace_count,
     mahonian_direct,
     mahonian_recursive,
     q_binomial,
@@ -80,7 +79,6 @@ __all__ = [
     "hyperbolic_space",
     "inverse",
     "inversions",
-    "isotropic_subspace_count",
     "length",
     "linear_space",
     "mahonian_direct",

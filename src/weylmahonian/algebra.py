@@ -25,7 +25,7 @@ Term order everywhere (iteration, text, JSON, LaTeX) is lexicographic on
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 VARS = ("q", "t", "s")
 _VAR_INDEX = {"q": 0, "t": 1, "s": 2}
@@ -395,9 +395,6 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_bound(other)
         return TruncSeries.from_poly(self.poly * other.poly, self.bound)
-
-    def __iter__(self) -> Iterator[MultiPoly]:
-        return iter(self.coeffs)
 
     def __str__(self) -> str:
         parts: list[str] = []

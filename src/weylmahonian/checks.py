@@ -314,28 +314,28 @@ def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = Fal
     return _series_report("flag_series_theorem", params, lhs, rhs)
 
 
-def subspace_count_grassmann(p: int, d: int) -> CheckReport:
-    space = flaggeom.linear_space(p, d)
+def _subspace_count_scan(name: str, params: dict, space: flaggeom.FqSpace, count: Callable) -> CheckReport:
+    """Enumerated k-subspaces of the space against count(d, k) at q=p, k = 0..d."""
 
     def test(k):
         got = sum(1 for _ in flaggeom.enumerate_subspaces(space, k))
-        want = statistics.q_binomial(d, k).evaluate(q=p)
+        want = count(space.d, k).evaluate(q=space.p)
         return f"k={k}: {got} vs {want}" if got != want else None
 
-    return _scan("subspace_count_grassmann", {"p": p, "d": d}, range(d + 1), test)
+    return _scan(name, params, range(space.d + 1), test)
+
+
+def subspace_count_grassmann(p: int, d: int) -> CheckReport:
+    space = flaggeom.linear_space(p, d)
+    return _subspace_count_scan("subspace_count_grassmann", {"p": p, "d": d}, space, statistics.q_binomial)
 
 
 def subspace_count_isotropic(kind: str, p: int, d: int) -> CheckReport:
     """Isotropic counts in symplectic (kind C) and odd quadratic (kind B)
     spaces against the shared closed formula."""
     space = flaggeom.space_for_family(kind, p, d)
-
-    def test(k):
-        got = sum(1 for _ in flaggeom.enumerate_subspaces(space, k))
-        want = statistics.symplectic_isotropic_count(d, k).evaluate(q=p)
-        return f"k={k}: {got} vs {want}" if got != want else None
-
-    return _scan("subspace_count_isotropic", {"kind": kind, "p": p, "d": d}, range(d + 1), test)
+    count = statistics.symplectic_isotropic_count
+    return _subspace_count_scan("subspace_count_isotropic", {"kind": kind, "p": p, "d": d}, space, count)
 
 
 def subspace_count_hyperbolic(p: int, d: int) -> CheckReport:

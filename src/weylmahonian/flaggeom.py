@@ -28,10 +28,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import MultiPoly, TruncSeries
-from .weylgroups import GroupFamily, SignedPerm, check_member, pm_coordinates, pm_less
+from .weylgroups import GroupFamily, SignedPerm, check_member, descent_set, pm_coordinates
 
 Vector = tuple[int, ...]
 Subspace = tuple[Vector, ...]  # RREF rows
@@ -80,10 +81,6 @@ def rref(rows: Sequence[Sequence[int]], p: int) -> Subspace:
     return tuple(tuple(r) for _, r in sorted(pivots))
 
 
-def rank(rows: Sequence[Sequence[int]], p: int) -> int:
-    return len(rref(rows, p))
-
-
 def nullspace(constraints: Sequence[Sequence[int]], n: int, p: int) -> list[Vector]:
     """Basis of {x in F_p^n : c . x = 0 for every constraint row c}."""
     pivots = _eliminate(constraints, p, range(n))
@@ -99,7 +96,7 @@ def nullspace(constraints: Sequence[Sequence[int]], n: int, p: int) -> list[Vect
 
 def subspace_le(small: Subspace, big: Subspace, p: int) -> bool:
     """Containment test: every row of small reduces to zero against big."""
-    pivots = [(next(c for c in range(len(row)) if row[c]), row) for row in big]
+    pivots = [(row.index(1), row) for row in big]  # an RREF row leads with 1
     for row in small:
         r = list(row)
         for pc, brow in pivots:
@@ -287,17 +284,24 @@ def metabolizer_excess(space: FqSpace, rows: Subspace) -> int:
     """dim(V / (V & I)): the rank of the negative-coordinate block."""
     if space.kind != "hyperbolic":
         raise ValueError("parity is only defined for the hyperbolic space")
-    if not rows:
-        return 0
-    return rank([row[space.d :] for row in rows], space.p)
+    return len(rref([row[space.d :] for row in rows], space.p))
 
 
 # -- flags ---------------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _subspaces_by_dim(space: FqSpace) -> tuple[tuple[Subspace, ...], ...]:
-    return tuple(tuple(enumerate_subspaces(space, m)) for m in range(space.iso_max + 1))
+def _containment(space: FqSpace) -> Mapping[Subspace, tuple[Subspace, ...]]:
+    """The containment relation of the subspaces a flag may contain: each one,
+    the zero subspace first, mapped to the larger ones that contain it, in
+    enumeration order.  One subspace_le per pair builds it once per space; it
+    is read-only because the cache hands the same mapping to every caller."""
+    levels = [tuple(enumerate_subspaces(space, m)) for m in range(space.iso_max + 1)]
+    return MappingProxyType({
+        sub: tuple(big for level in levels[m + 1 :] for big in level if subspace_le(sub, big, space.p))
+        for m in range(len(levels))
+        for sub in levels[m]
+    })
 
 
 def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[Flag]:
@@ -310,23 +314,17 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
         even_only = space.kind == "hyperbolic"
     if even_only and space.kind != "hyperbolic":
         raise ValueError("parity filtering needs the hyperbolic space")
-    levels = _subspaces_by_dim(space)
-    p = space.p
-
-    def ok_last(sub: Subspace) -> bool:
-        return not even_only or metabolizer_excess(space, sub) % 2 == 0
+    above = _containment(space)
 
     def rec(chain: list[Subspace], top: Subspace) -> Iterator[Flag]:
-        if ok_last(top):
+        if not even_only or metabolizer_excess(space, top) % 2 == 0:
             yield tuple(chain)
-        for m in range(len(top) + 1, space.iso_max + 1):
-            for sub in levels[m]:
-                if subspace_le(top, sub, p):
-                    chain.append(sub)
-                    yield from rec(chain, sub)
-                    chain.pop()
+        for sub in above[top]:
+            chain.append(sub)
+            yield from rec(chain, sub)
+            chain.pop()
 
-    yield from rec([], ())  # the walk starts at the zero subspace, levels[0]
+    yield from rec([], ())  # the walk starts at the zero subspace
 
 
 def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: bool = False) -> TruncSeries:
@@ -364,8 +362,6 @@ def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSe
 def _perp_space(space: FqSpace, vectors: Sequence[Vector]) -> list[Vector]:
     """Basis of the orthogonal complement of the given vectors."""
     n, p = space.dim, space.p
-    if not vectors:
-        return [tuple(1 if c == r else 0 for c in range(n)) for r in range(n)]
     constraints = []
     for f in vectors:
         constraints.append([space.bilinear(f, tuple(1 if c == a else 0 for c in range(n))) for a in range(n)])
@@ -471,10 +467,7 @@ def standard_flag(perm: SignedPerm, fam: GroupFamily) -> tuple[tuple[int, ...], 
     On unsigned permutations this reduces to the classical descent set.
     """
     check_member(perm, fam)
-    d = fam.d
-    dims = [i for i in range(1, d) if pm_less(perm[i], perm[i - 1])]
-    if d and perm[-1] < 0:
-        dims.append(d)
+    dims = descent_set(perm)
     return tuple(dims), sum(dims)
 
 
@@ -484,8 +477,7 @@ def refinement_count(perm: SignedPerm, fam: GroupFamily) -> int:
     if fam.tag != "A":
         raise ValueError("refinement counts are a type A statement")
     check_member(perm, fam)
-    k = sum(1 for i in range(1, fam.d) if perm[i - 1] > perm[i])
-    return 2 ** (fam.d - k)
+    return 2 ** (fam.d - len(descent_set(perm)))
 
 
 def flags_by_canonical_basis(space: FqSpace) -> dict[tuple[tuple[Vector, ...], SignedPerm], list[Flag]]:

@@ -50,9 +50,6 @@ class RotheDiagram:
                     counts[tag] = counts.get(tag, 0) + 1
         return counts
 
-    def tensor_total(self) -> int:
-        return sum(self.tensor_counts().values())
-
     def text(self) -> str:
         syms = {"bullet": "●", "cross": "×", "perp": "⊥", "zero": " "}
         header = [""] + [str(c) for c in self.columns]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .algebra import ONE, ZERO, MultiPoly
+from .algebra import ONE, ZERO, MultiPoly, T
 from .weylgroups import (
     GroupFamily,
     descent_count,
@@ -24,9 +24,6 @@ from .weylgroups import (
     length,
     wmaj,
 )
-
-_T = MultiPoly.var("t")
-
 
 def _qpow(n: int) -> MultiPoly:
     return MultiPoly.monomial(1, eq=n)
@@ -78,26 +75,7 @@ def hyperbolic_isotropic_count(d: int, k: int, l: int) -> MultiPoly:
     dim(V / (V intersect I)) = l, for the fixed metabolizer I."""
     if not 0 <= k <= d or not 0 <= l <= k:
         raise ValueError(f"need 0 <= l <= k <= d, got d={d}, k={k}, l={l}")
-    e2 = l * (2 * d + l - 2 * k - 1)
-    if e2 % 2 or e2 < 0:
-        raise ValueError(f"exponent l(2d+l-2k-1)/2 not a nonnegative integer for {(d, k, l)}")
-    return _qpow(e2 // 2) * q_binomial(d, k) * q_binomial(k, l)
-
-
-def isotropic_subspace_count(kind: str, d: int, k: int, l: int | None = None) -> MultiPoly:
-    """Dispatch on the space type; for D, l=None sums over all l."""
-    if kind == "BC":
-        if l is not None:
-            raise ValueError("parameter l only applies to type D")
-        return symplectic_isotropic_count(d, k)
-    if kind == "D":
-        if l is not None:
-            return hyperbolic_isotropic_count(d, k, l)
-        total = ZERO
-        for ll in range(k + 1):
-            total = total + hyperbolic_isotropic_count(d, k, ll)
-        return total
-    raise ValueError(f"unknown space kind {kind!r}")
+    return _qpow(l * (2 * d + l - 2 * k - 1) // 2) * q_binomial(d, k) * q_binomial(k, l)
 
 
 def even_isotropic_count(d: int, k: int) -> MultiPoly:
@@ -165,7 +143,7 @@ def qbinomial_theorem_sides(d: int, a: int) -> tuple[MultiPoly, MultiPoly]:
         lhs = lhs + q_binomial(d, j) * _qpow((j + a) * (j + a - 1) // 2) * _tpow(j)
     rhs = _qpow(a * (a - 1) // 2)
     for j in range(d):
-        rhs = rhs * (1 + _T * _qpow(j + a))
+        rhs = rhs * (1 + T * _qpow(j + a))
     return lhs, rhs
 
 
@@ -199,10 +177,10 @@ def closed_form(name: str, d: int) -> MultiPoly:
     if name == "bc_length":
         return _ratio(_qpow, range(2, 2 * d + 1, 2), ones)
     if name == "bc_wmaj":
-        return (1 + _T) ** d * _ratio(_tpow, range(1, d + 1), ones)
+        return (1 + T) ** d * _ratio(_tpow, range(1, d + 1), ones)
     if name == "d_length":
         return _ratio(_qpow, [*range(2, 2 * d - 1, 2), d], ones) if d else ONE
     if name == "d_wmaj":
-        half = ((1 - _T) ** d + (1 + _T) ** d).exact_div(2)
+        half = ((1 - T) ** d + (1 + T) ** d).exact_div(2)
         return half * _ratio(_tpow, range(1, d + 1), ones)
     raise ValueError(f"unknown closed form {name!r}; known: {CLOSED_FORM_NAMES}")

@@ -168,14 +168,20 @@ def wmaj(perm: SignedPerm) -> int:
     return total + negative_count(perm)
 
 
-def descent_count(perm: SignedPerm) -> int:
-    """Descent statistic: pm-order descents among positions < d, plus one if
-    the last entry is negative."""
+def descent_set(perm: SignedPerm) -> list[int]:
+    """The positions i < d with perm(i) >_pm perm(i+1), then d itself when the
+    last entry is negative.  On unsigned permutations this is the classical
+    descent set."""
     d = len(perm)
-    count = sum(1 for i in range(d - 1) if pm_less(perm[i + 1], perm[i]))
+    positions = [i for i in range(1, d) if pm_less(perm[i], perm[i - 1])]
     if d and perm[-1] < 0:
-        count += 1
-    return count
+        positions.append(d)
+    return positions
+
+
+def descent_count(perm: SignedPerm) -> int:
+    """Descent statistic: the size of the descent set."""
+    return len(descent_set(perm))
 
 
 def enumerate_group(fam: GroupFamily) -> Iterator[SignedPerm]:

@@ -248,23 +248,7 @@ def test_refinement_counts_by_enumeration(d):
 
 
 def _complete_chains(space):
-    from weylmahonian.flaggeom import _subspaces_by_dim
-
-    levels = _subspaces_by_dim(space)
-
-    def rec(chain):
-        m = len(chain)
-        if m == space.iso_max:
-            yield tuple(chain)
-            return
-        top = chain[-1] if chain else ()
-        for sub in levels[m + 1]:
-            if not chain or subspace_le(top, sub, space.p):
-                chain.append(sub)
-                yield from rec(chain)
-                chain.pop()
-
-    yield from rec([])
+    return (chain for chain in enumerate_flags(space, even_only=False) if len(chain) == space.iso_max)
 
 
 @pytest.mark.parametrize(
@@ -302,6 +286,21 @@ def test_space_for_family():
     assert space_for_family("D", 3, 2).kind == "hyperbolic"
     tags = [space_for_family(kind, 3, 2).family for kind in ("A", "C", "B", "D")]
     assert tags == [GroupFamily(tag, 2) for tag in ("A", "BC", "BC", "D")]
+
+
+def test_second_flag_walk_runs_no_containment_test(monkeypatch):
+    """A space's containment relation is built once: the s-marked series of a
+    space whose plain series is already known tests no containment again."""
+    import weylmahonian.flaggeom as fg
+
+    fg._containment.cache_clear()
+    real, calls = fg.subspace_le, []
+    monkeypatch.setattr(fg, "subspace_le", lambda *args: calls.append(args) or real(*args))
+    space = symplectic_space(3, 2)
+    flag_series(space, 6)
+    first = len(calls)
+    flag_series(space, 6, with_alpha=True)
+    assert first > 0 and len(calls) == first
 
 
 def test_deterministic_enumeration():

@@ -72,7 +72,7 @@ def test_tallies_exhaustive(kind, tag):
                     if perm[i - 1] < 0 and base + perm[i - 1]
                 }
             assert diag.tensor_counts() == want
-            assert diag.cross_count() + diag.tensor_total() == length(perm, fam)
+            assert diag.cross_count() + sum(diag.tensor_counts().values()) == length(perm, fam)
 
 
 def test_validation():

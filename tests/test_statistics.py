@@ -5,7 +5,6 @@ from weylmahonian.statistics import (
     closed_form,
     even_isotropic_count,
     hyperbolic_isotropic_count,
-    isotropic_subspace_count,
     mahonian_direct,
     mahonian_recursive,
     q_binomial,
@@ -108,19 +107,10 @@ def test_isotropic_counts():
     assert symplectic_isotropic_count(2, 1).evaluate(q=3) == 40
     assert symplectic_isotropic_count(1, 0) == MultiPoly.one()
     assert hyperbolic_isotropic_count(1, 1, 0) == MultiPoly.one()
-    assert isotropic_subspace_count("BC", 2, 1) == symplectic_isotropic_count(2, 1)
-    assert isotropic_subspace_count("D", 1, 1, 0) == MultiPoly.one()
-    # l=None sums over all l
-    total = sum(
-        (hyperbolic_isotropic_count(2, 1, l) for l in (0, 1)), start=MultiPoly.zero()
-    )
-    assert isotropic_subspace_count("D", 2, 1) == total
     with pytest.raises(ValueError):
         symplectic_isotropic_count(2, 3)
     with pytest.raises(ValueError):
         hyperbolic_isotropic_count(2, 1, 2)
-    with pytest.raises(ValueError):
-        isotropic_subspace_count("BC", 2, 1, l=1)
 
 
 def test_even_isotropic_count_matches_parity_split():

@@ -8,6 +8,7 @@ from weylmahonian.weylgroups import (
     compose,
     coxeter_word_length,
     descent_count,
+    descent_set,
     enumerate_group,
     greedy_reduced_word,
     identity,
@@ -86,6 +87,8 @@ def test_descent_count():
     assert descent_count(identity(3)) == 0
     assert descent_count((-1,)) == 1
     assert descent_count((-5, 3, -1, 6, 4, -2)) == descent_count_oracle((-5, 3, -1, 6, 4, -2)) == 4
+    assert descent_set((-5, 3, -1, 6, 4, -2)) == [1, 3, 4, 6]
+    assert descent_set((2, 3, 1)) == [2]
 
 
 def test_enumerate_group_counts_and_order():
