@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -96,6 +97,23 @@ def test_flags_output_is_pinned(capsys, family, p, d, digest):
             assert code == 0
             out += text
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+RECURSION_DIGESTS = json.loads(pathlib.Path(__file__).with_name("recursion_digests.json").read_text())
+
+
+@pytest.mark.parametrize("family", ["A", "BC", "D"])
+@pytest.mark.parametrize("marker", ["plain", "euler"])
+def test_recursion_output_is_pinned(capsys, family, marker):
+    """SHA-256 of `mahonian --method recur --format json` at d = 0, 1, ...
+    (A to 14, BC and D to 12), one digest per rank."""
+    euler = ("--euler",) if marker == "euler" else ()
+    digests = RECURSION_DIGESTS[f"{family} {marker}"]
+    for d, digest in enumerate(digests):
+        code, out = invoke(capsys, "mahonian", "--family", family, "--d", str(d),
+                           "--method", "recur", "--format", "json", *euler)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, f"{family} d={d} {marker}"
 
 
 def test_rothe_text(capsys):
