@@ -10,11 +10,46 @@ All divisions appearing in quoted closed forms are exact polynomial divisions
 that raise on a nonzero remainder, so evaluating a closed form doubles as a
 check of its divisibility claim.  Empty products are 1 and empty sums 0
 throughout.
+
+The recursions run on packed integers (Kronecker substitution), not on
+MultiPoly products.  A polynomial in q, t, s is a list of rows indexed by
+the t-degree; row i is one Python int holding the coefficient of t^i as
+signed base-2^w digits, q^a s^b at digit a + b * (Q + 1):
+
+  row_i = sum_{a,b} c_{a,i,b} 2^{w (a + b (Q + 1))}.
+
+Packing is the ring homomorphism q -> 2^w, s -> 2^{w (Q + 1)} on each row,
+so sums and products of rows are plain integer sums and products, and
+multiplying by s is a left shift by w (Q + 1) bits.  Intermediate values
+need not fit the layout; only the final polynomial is unpacked, once, and
+it must have q-degree <= Q and every |coefficient| < 2^{w-1}.  The layout
+takes both from bounds that hold before any cancellation:
+
+- Q is the maximal length: a summand's q-degree is deg count(k) + deg M_k,
+  which is at most k(m-k) + C(k,2) <= C(m,2) inside type A, and at most
+  d^2 (BC) and d(d-1) (D), reached at k = d, at the top.  The t-degree
+  bound top(top+1)/2 sizes the row list and the s-degree bound is top, so
+  nothing is truncated.
+- w is the smallest multiple of 8 above the bit length of an L1 bound: with
+  (1 - x t^j) of L1 norm 2, the sum of |coefficients| of M_m is at most
+  l1[m] = sum_{k<m} 2^{m-1-k} C(m,k) l1[k], and of a top-level sum at most
+  sum_k 2^{top-k} count_k(1) l1[k].  The count polynomials have
+  nonnegative coefficients, so their L1 norm is their value at q = 1.
+
+The factors prod_{j>k} (1 - x t^j) are applied in Horner form, upward in k:
+acc <- acc (1 - x t^k) + x^[k>0] t^k count(k) M_k, one shift-and-subtract
+per row and step, and one small-by-medium integer product per row of M_k.
+The type A interiors M_0, ..., M_d are kept for one call only.  Before any
+arithmetic the packed size (rows x digits per row x w bits) is checked
+against RECUR_MAX_BITS; after unpacking, the coefficients must sum to the
+group order (the value at q = t = s = 1), or the call raises.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import comb
+from typing import NamedTuple
 
 from .algebra import ONE, ZERO, MultiPoly, T
 from .weylgroups import (
@@ -22,8 +57,14 @@ from .weylgroups import (
     descent_count,
     enumerate_group,
     length,
+    max_length,
     wmaj,
 )
+
+# Largest packed result (rows x digits per row x bits per digit) that
+# mahonian_recursive builds: 6.25 MB.  BC d=16 with s takes 47,884,240.
+RECUR_MAX_BITS = 50_000_000
+
 
 def _qpow(n: int) -> MultiPoly:
     return MultiPoly.monomial(1, eq=n)
@@ -97,40 +138,109 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
     return MultiPoly(terms)
 
 
-def _flag_sum(top: int, count, euler: bool) -> MultiPoly:
+class _Layout(NamedTuple):
+    """Where each coefficient of a row sits: q^a s^b is digit a + b * q_stride."""
+
+    q_stride: int  # digits per power of s: the q-degree bound plus 1
+    slots: int  # digits per row: q_stride times (the s-degree bound plus 1)
+    width: int  # bits per signed digit, a multiple of 8
+    x_shift: int  # multiplying by the marker x is a left shift by this many bits
+
+
+def _layout(fam: GroupFamily, euler: bool) -> _Layout:
+    """The packed layout of mahonian_recursive(fam, euler), from the closed
+    bounds in the module docstring; ValueError if the result would take more
+    than RECUR_MAX_BITS."""
+    d = fam.d
+    top = d - 1 if fam.tag == "A" else d
+    q_stride = max_length(fam) + 1
+    slots = q_stride * (max(top, 0) + 1 if euler else 1)
+    digits = (top * (top + 1) // 2 + 1) * slots
+    if digits * 8 <= RECUR_MAX_BITS:  # the L1 bound costs O(d^2): only size it when it can fit
+        l1 = [1]  # l1[m] bounds the sum of |coefficients| of the type A interior M_m
+        for m in range(1, d + 1):
+            l1.append(sum(2 ** (m - 1 - k) * comb(m, k) * l1[k] for k in range(m)))
+        if fam.tag == "A":
+            bound = l1[d]
+        else:  # count(d, k) at q = 1 is C(d,k) times 2^k (BC) or 2^(k-1) (D, k > 0)
+            signs = [2**k if fam.tag == "BC" else 2 ** max(k - 1, 0) for k in range(d + 1)]
+            bound = sum(2 ** (d - k) * comb(d, k) * signs[k] * l1[k] for k in range(d + 1))
+        width = (bound.bit_length() + 8) // 8 * 8  # so that |coefficient| < 2^(width-1)
+        if digits * width <= RECUR_MAX_BITS:
+            return _Layout(q_stride, slots, width, q_stride * width if euler else 0)
+    raise ValueError(
+        f"the recursion for {fam.tag} d={d}{' with --euler' if euler else ''} needs more than "
+        f"{RECUR_MAX_BITS} packed bits ({digits} digits); lower --d"
+    )
+
+
+def _pack_q(poly: MultiPoly, width: int) -> int:
+    """A polynomial in q alone as one integer, q -> 2^width."""
+    return sum(c << (width * eq) for (eq, _, _), c in poly.terms.items())
+
+
+def _flag_rows(counts: list[MultiPoly], interior: list[list[int]], lay: _Layout) -> list[int]:
     """Shared shape of the flag-counting recursions: sort weighted flags by
-    their largest subspace (count(k) choices in dimension k <= top) and recurse
-    into a type A interior,
+    their largest subspace (counts[k] choices in dimension k <= top) and
+    recurse into a type A interior,
 
-      sum_k x^[k>0] t^k count(k) prod_{j=k+1}^{top} (1 - x t^j) M_k,
+      sum_k x^[k>0] t^k counts[k] prod_{j=k+1}^{top} (1 - x t^j) M_k,
 
-    with the marker x = s if euler, else x = 1."""
-    es = 1 if euler else 0
-    total = ZERO
-    prod = ONE  # prod_{j=k+1}^{top} (1 - x t^j), grown as k falls
-    for k in range(top, -1, -1):
-        mark = MultiPoly.monomial(1, et=k, es=es if k else 0)
-        total = total + mark * count(k) * prod * _mahonian_a(k, euler)
-        if k:
-            prod = prod * (1 - MultiPoly.monomial(1, et=k, es=es))
-    return total
+    with the marker x (s or 1, as the layout says) and M_k = interior[k].  It
+    is evaluated upward in k in Horner form,
+    acc <- acc * (1 - x t^k) + x^[k>0] t^k counts[k] M_k, on packed rows."""
+    top = len(counts) - 1
+    x = lay.x_shift
+    acc = [0] * (top * (top + 1) // 2 + 1)
+    for k, count in enumerate(counts):
+        if k:  # acc has t-degree <= k(k-1)/2 here; downward, so acc[i - k] is still the old row
+            for i in range(k * (k + 1) // 2, k - 1, -1):
+                acc[i] -= acc[i - k] << x
+        c = _pack_q(count, lay.width) << (x if k else 0)
+        for i, row in enumerate(interior[k], start=k):
+            acc[i] += c * row
+    return acc
 
 
-@lru_cache(maxsize=None)
-def _mahonian_a(d: int, euler: bool) -> MultiPoly:
-    # M_d = sum_{i<d} x^[i>0] t^i (prod_{j=i+1}^{d-1} (1-x t^j)) C(d,i)_q M_i, M_0 = 1
-    if d == 0:
-        return ONE
-    return _flag_sum(d - 1, lambda k: q_binomial(d, k), euler)
+def _unpack(rows: list[int], lay: _Layout) -> MultiPoly:
+    """The polynomial whose coefficient of t^i is packed in rows[i]."""
+    size = lay.width // 8
+    half = 1 << (lay.width - 1)
+    zero = half.to_bytes(size, "little")  # a zero digit once half is added
+    offset = int.from_bytes(zero * lay.slots, "little")  # adds half to every digit
+    terms: dict[tuple[int, int, int], int] = {}
+    for et, row in enumerate(rows):
+        if not row:
+            continue
+        buf = (row + offset).to_bytes(size * lay.slots, "little")  # OverflowError if it does not fit
+        for j in range(0, len(buf), size):
+            digit = buf[j:j + size]
+            if digit != zero:
+                es, eq = divmod(j // size, lay.q_stride)
+                terms[(eq, et, es)] = int.from_bytes(digit, "little") - half
+    return MultiPoly(terms)
 
 
 def mahonian_recursive(fam: GroupFamily, euler: bool = False) -> MultiPoly:
-    """Recursion route for the same polynomial as mahonian_direct."""
+    """Recursion route for the same polynomial as mahonian_direct.
+
+    Raises ValueError, before any arithmetic, if the packed result would
+    exceed RECUR_MAX_BITS."""
+    lay = _layout(fam, euler)
     d = fam.d
+    # M_m = sum_{k<m} x^[k>0] t^k (prod_{j=k+1}^{m-1} (1-x t^j)) C(m,k)_q M_k, M_0 = 1
+    interior = [[1]]
+    for m in range(1, d + 1):
+        interior.append(_flag_rows([q_binomial(m, k) for k in range(m)], interior, lay))
     if fam.tag == "A":
-        return _mahonian_a(d, euler)
-    count = symplectic_isotropic_count if fam.tag == "BC" else even_isotropic_count
-    return _flag_sum(d, lambda k: count(d, k), euler)
+        rows = interior[d]
+    else:
+        count = symplectic_isotropic_count if fam.tag == "BC" else even_isotropic_count
+        rows = _flag_rows([count(d, k) for k in range(d + 1)], interior, lay)
+    poly = _unpack(rows, lay)
+    if sum(poly.terms.values()) != fam.order():
+        raise ArithmeticError(f"recursion for {fam.tag} d={d} does not sum to the group order {fam.order()}")
+    return poly
 
 
 def qbinomial_theorem_sides(d: int, a: int) -> tuple[MultiPoly, MultiPoly]:

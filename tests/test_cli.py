@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -246,3 +247,14 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
 def test_enumeration_cap_reports_usage_error(capsys):
     code, _ = invoke(capsys, "mahonian", "--family", "BC", "--d", "9")
     assert code == 2
+
+
+def test_recursion_work_guard_reports_usage_error(capsys):
+    start = time.perf_counter()
+    code = run(["mahonian", "--family", "A", "--d", "200", "--method", "recur"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert captured.err.startswith("error: the recursion for A d=200 needs more than")

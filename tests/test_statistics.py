@@ -2,6 +2,7 @@ import pytest
 
 from weylmahonian.algebra import MultiPoly
 from weylmahonian.statistics import (
+    _layout,
     closed_form,
     even_isotropic_count,
     hyperbolic_isotropic_count,
@@ -177,3 +178,64 @@ def test_bc_reciprocal_symmetry():
     for d in range(1, 5):
         m = mahonian_direct(GroupFamily("BC", d))
         assert m.reciprocal_conjugate(d * d, comb(d + 1, 2)) == m
+
+
+def _naive_bounds(counts, interior):
+    """(q-degree, s-degree, L1 norm) bounds of
+    sum_k x^[k>0] t^k counts[k] prod_{j=k+1}^{top} (1 - x t^j) M_k, x = s,
+    expanded without cancellation, from the bounds ``interior[k]`` of M_k."""
+    top = len(counts) - 1
+    q = max(c.degree("q") + interior[k][0] for k, c in enumerate(counts))
+    s = max((k > 0) + top - k + interior[k][1] for k in range(top + 1))
+    l1 = sum(2 ** (top - k) * sum(map(abs, c.terms.values())) * interior[k][2] for k, c in enumerate(counts))
+    return q, s, l1
+
+
+@pytest.mark.parametrize("tag", ["A", "BC", "D"])
+def test_recursion_layout_holds_the_result(tag):
+    """The packed layout must hold the recursion's result expanded without
+    cancellation: q-degree and s-degree inside the strides, and every
+    |coefficient| below 2^(width-1).  Checked at every rank to 20, which
+    covers each s-marked rank the work guard admits."""
+    count = {"BC": symplectic_isotropic_count, "D": even_isotropic_count}.get(tag)
+    interior = [(0, 0, 1)]
+    for d in range(21):
+        fam = GroupFamily(tag, d)
+        plain = _layout(fam, False)
+        if d:
+            interior.append(_naive_bounds([q_binomial(d, k) for k in range(d)], interior))
+        q, s, l1 = interior[d] if tag == "A" else _naive_bounds([count(d, k) for k in range(d + 1)], interior)
+        assert q < plain.q_stride == plain.slots
+        assert l1 < 2 ** (plain.width - 1)
+        try:
+            marked = _layout(fam, True)
+        except ValueError:
+            continue
+        assert marked.q_stride == plain.q_stride and marked.width == plain.width
+        assert s < marked.slots // marked.q_stride
+    with pytest.raises(ValueError):
+        _layout(GroupFamily(tag, 20), True)
+
+
+def test_recursion_guard_rejects_before_any_arithmetic():
+    for fam, euler in ((GroupFamily("A", 200), False), (GroupFamily("BC", 17), True), (GroupFamily("D", 10**6), True)):
+        q_binomial.cache_clear()
+        with pytest.raises(ValueError, match="packed bits"):
+            mahonian_recursive(fam, euler=euler)
+        assert q_binomial.cache_info().currsize == 0
+    assert _layout(GroupFamily("BC", 16), True)  # admitted
+
+
+@pytest.mark.parametrize("tag, ranks", [("A", (15, 16)), ("BC", (13, 14)), ("D", (13, 14))])
+def test_recursion_at_larger_rank(tag, ranks):
+    names = {"A": ("a_length", "a_wmaj"), "BC": ("bc_length", "bc_wmaj"), "D": ("d_length", "d_wmaj")}[tag]
+    for d in ranks:
+        fam = GroupFamily(tag, d)
+        plain = mahonian_recursive(fam)
+        marked = mahonian_recursive(fam, euler=True)
+        assert plain.evaluate() == marked.evaluate() == fam.order()
+        assert marked.specialize(s=1) == plain
+        assert plain.specialize(t=1) == closed_form(names[0], d)
+        assert plain.specialize(q=1) == closed_form(names[1], d)
+        if tag == "A":
+            assert plain.specialize(q="t", t="q") == plain
