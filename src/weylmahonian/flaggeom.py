@@ -20,6 +20,11 @@ weight by weight: each flag contributes the closed truncated factor
 prod_i x*t^(dim V_i) / (1 - x*t^(dim V_i)) with x = s or 1, which depends
 on the flag only through its dimension signature, so the flags are counted
 by signature and each signature's factor is formed once.
+
+The flags are walked through the containment relation, built down from each
+subspace W's RREF basis B (pivots c_1 < ... < c_k): for U in RREF, U*B equals
+U at the columns c_j and vanishes left of each row's first 1, so U*B is in
+RREF, and U -> U*B maps the subspaces of F_p^k onto those of W.
 """
 
 from __future__ import annotations
@@ -95,17 +100,8 @@ def nullspace(constraints: Sequence[Sequence[int]], n: int, p: int) -> list[Vect
 
 
 def subspace_le(small: Subspace, big: Subspace, p: int) -> bool:
-    """Containment test: every row of small reduces to zero against big."""
-    pivots = [(row.index(1), row) for row in big]  # an RREF row leads with 1
-    for row in small:
-        r = list(row)
-        for pc, brow in pivots:
-            if r[pc]:
-                f = r[pc]
-                r = [(x - f * y) % p for x, y in zip(r, brow)]
-        if any(r):
-            return False
-    return True
+    """Containment test: adding small's rows to big leaves its RREF unchanged."""
+    return rref(big + small, p) == big
 
 
 # -- spaces -------------------------------------------------------------------
@@ -294,14 +290,18 @@ def metabolizer_excess(space: FqSpace, rows: Subspace) -> int:
 def _containment(space: FqSpace) -> Mapping[Subspace, tuple[Subspace, ...]]:
     """The containment relation of the subspaces a flag may contain: each one,
     the zero subspace first, mapped to the larger ones that contain it, in
-    enumeration order.  One subspace_le per pair builds it once per space; it
+    enumeration order.  Each W is listed above its subspaces U*B, with U over
+    the smaller subspaces of F_p^dim(W), already in RREF (module docstring),
+    so no containment is tested and a key the enumeration missed raises.  It
     is read-only because the cache hands the same mapping to every caller."""
     levels = [tuple(enumerate_subspaces(space, m)) for m in range(space.iso_max + 1)]
-    return MappingProxyType({
-        sub: tuple(big for level in levels[m + 1 :] for big in level if subspace_le(sub, big, space.p))
-        for m in range(len(levels))
-        for sub in levels[m]
-    })
+    above: dict[Subspace, list[Subspace]] = {sub: [] for level in levels for sub in level}
+    for k, level in enumerate(levels[1:], 1):
+        coords = [u for m in range(k) for u in enumerate_subspaces(linear_space(space.p, k), m)]
+        for big, u in product(level, coords):
+            image = tuple(tuple(sum(a * b for a, b in zip(row, col)) % space.p for col in zip(*big)) for row in u)
+            above[image].append(big)
+    return MappingProxyType({sub: tuple(bigs) for sub, bigs in above.items()})
 
 
 def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[Flag]:

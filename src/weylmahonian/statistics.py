@@ -48,7 +48,7 @@ group order (the value at q = t = s = 1), or the call raises.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from .algebra import ONE, ZERO, MultiPoly, T
@@ -104,11 +104,11 @@ def q_binomial_product(d: int, k: int) -> MultiPoly:
 
 
 def symplectic_isotropic_count(d: int, k: int) -> MultiPoly:
-    """Number of isotropic k-subspaces of a 2d-dimensional symplectic space
-    (equals the count for a (2d+1)-dimensional odd quadratic space)."""
+    """Number of isotropic k-subspaces of a 2d-dimensional symplectic space (equals
+    the count for a (2d+1)-dimensional odd quadratic space): C(d,k)_q * prod_{i<k} (1 + q^(d-i))."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    return _ratio(_qpow, range(2 * d, 2 * d - 2 * k, -2), range(k, 0, -1))
+    return prod((1 + _qpow(d - i) for i in range(k)), start=q_binomial(d, k))
 
 
 def hyperbolic_isotropic_count(d: int, k: int, l: int) -> MultiPoly:

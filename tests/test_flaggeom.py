@@ -290,17 +290,48 @@ def test_space_for_family():
 
 def test_second_flag_walk_runs_no_containment_test(monkeypatch):
     """A space's containment relation is built once: the s-marked series of a
-    space whose plain series is already known tests no containment again."""
+    space whose plain series is already known enumerates no subspace again."""
     import weylmahonian.flaggeom as fg
 
     fg._containment.cache_clear()
-    real, calls = fg.subspace_le, []
-    monkeypatch.setattr(fg, "subspace_le", lambda *args: calls.append(args) or real(*args))
+    real, calls = fg.enumerate_subspaces, []
+    monkeypatch.setattr(fg, "enumerate_subspaces", lambda *args: calls.append(args) or real(*args))
     space = symplectic_space(3, 2)
     flag_series(space, 6)
     first = len(calls)
     flag_series(space, 6, with_alpha=True)
     assert first > 0 and len(calls) == first
+
+
+@pytest.mark.parametrize(
+    "space",
+    [linear_space(2, 3), linear_space(3, 3), symplectic_space(3, 2), quadratic_space(3, 2), hyperbolic_space(3, 2)],
+    ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
+)
+def test_containment_matches_pairwise_definition(space):
+    """The downward build lists, for every subspace a flag may contain, the
+    larger ones that subspace_le finds containing it, in enumeration order."""
+    import weylmahonian.flaggeom as fg
+
+    levels = [list(enumerate_subspaces(space, m)) for m in range(space.iso_max + 1)]
+    pairwise = {
+        sub: tuple(big for level in levels[m + 1 :] for big in level if subspace_le(sub, big, space.p))
+        for m, level in enumerate(levels)
+        for sub in level
+    }
+    assert list(fg._containment(space).items()) == list(pairwise.items())
+
+
+def test_flag_series_tests_no_containment(monkeypatch):
+    """Building the containment relation from each subspace's own basis makes
+    no subspace_le call."""
+    import weylmahonian.flaggeom as fg
+
+    fg._containment.cache_clear()
+    real, calls = fg.subspace_le, []
+    monkeypatch.setattr(fg, "subspace_le", lambda *args: calls.append(args) or real(*args))
+    flag_series(symplectic_space(7, 2), 12)
+    assert calls == []
 
 
 def test_deterministic_enumeration():
