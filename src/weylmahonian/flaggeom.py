@@ -8,8 +8,10 @@ pivot).  Coordinates of the typed spaces are stored in <_pm index order
   symplectic / hyperbolic (dim 2d):  x_1, ..., x_d, x_-d, ..., x_-1
   odd quadratic (dim 2d+1):          x_1, ..., x_d, x_0, x_-d, ..., x_-1
 
-Forms:
-  symplectic   w(b_i, b_-i) = 1 = -w(b_-i, b_i)
+Forms: position c pairs with its mirror n-1-c (x_i with x_-i, x_0 with itself)
+at weight w_c: -1 on the symplectic second half, 2 at the quadratic centre, 1
+elsewhere.  So B(u, v) = sum_c w_c u_c v_(n-1-c), and Q(x) = B(x, x)/2 (odd p):
+  symplectic   B(b_i, b_-i) = 1 = -B(b_-i, b_i)
   quadratic    Q(x) = x_0^2 + sum x_i x_-i        (odd p only)
   hyperbolic   Q(x) = sum x_i x_-i, metabolizer I = span(b_1, ..., b_d)
 
@@ -33,6 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -150,30 +153,18 @@ class FqSpace:
         """The signed coordinate index at each storage position (1-based for linear)."""
         return pm_coordinates(self.d, {"linear": "A", "quadratic": "B"}.get(self.kind, "C"))
 
+    def functional(self, u: Vector) -> Vector:
+        """The coefficient row of B(u, -): entry a is w_(n-1-a) u_(n-1-a), with
+        the mirror weights of the module docstring (not reduced mod p)."""
+        if self.kind == "linear":
+            raise ValueError("linear spaces carry no form")
+        d = self.d  # the weights below run from w_(n-1) down to w_0
+        weights = (-1 if self.kind == "symplectic" else 1,) * d + (2,) * (self.kind == "quadratic") + (1,) * d
+        return tuple(map(mul, weights, reversed(u)))
+
     def bilinear(self, u: Vector, v: Vector) -> int:
         """The symplectic form, or the polar form of Q, evaluated mod p."""
-        d, p = self.d, self.p
-        if self.kind == "linear":
-            raise ValueError("linear spaces carry no form")
-        if self.kind == "symplectic":
-            total = sum(u[c] * v[2 * d - 1 - c] - u[2 * d - 1 - c] * v[c] for c in range(d))
-        elif self.kind == "hyperbolic":
-            total = sum(u[c] * v[2 * d - 1 - c] + u[2 * d - 1 - c] * v[c] for c in range(d))
-        else:
-            total = 2 * u[d] * v[d]
-            total += sum(u[c] * v[2 * d - c] + u[2 * d - c] * v[c] for c in range(d))
-        return total % p
-
-    def quad(self, v: Vector) -> int:
-        """The quadratic form Q (zero identically for symplectic spaces)."""
-        d, p = self.d, self.p
-        if self.kind == "linear":
-            raise ValueError("linear spaces carry no form")
-        if self.kind == "symplectic":
-            return 0
-        if self.kind == "hyperbolic":
-            return sum(v[c] * v[2 * d - 1 - c] for c in range(d)) % p
-        return (v[d] * v[d] + sum(v[c] * v[2 * d - c] for c in range(d))) % p
+        return sum(map(mul, self.functional(u), v)) % self.p
 
 
 def linear_space(p: int, n: int) -> FqSpace:
@@ -248,29 +239,35 @@ def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
             yield from product(*cands)
             continue
         if space.kind in ("quadratic", "hyperbolic"):
-            cands = [[v for v in rows if space.quad(v) == 0] for rows in cands]
+            cands = [[v for v in rows if space.bilinear(v, v) == 0] for rows in cands]
         yield from _isotropic_dfs(space, cands, k)
 
 
 def _isotropic_dfs(space: FqSpace, cands: list[list[Vector]], k: int) -> Iterator[Subspace]:
     chosen: list[Vector] = []
+    functionals: list[Vector] = []  # B(u, -) of each chosen row u
+    p = space.p
 
     def rec(r: int) -> Iterator[Subspace]:
         if r == k:
             yield tuple(chosen)
             return
         for v in cands[r]:
-            if all(space.bilinear(v, u) == 0 for u in chosen):
+            if all(sum(map(mul, f, v)) % p == 0 for f in functionals):
+                if r + 1 == k:  # a last row needs no functional
+                    yield (*chosen, v)
+                    continue
                 chosen.append(v)
+                functionals.append(space.functional(v))
                 yield from rec(r + 1)
                 chosen.pop()
+                functionals.pop()
 
     yield from rec(0)
 
 
 def is_isotropic(space: FqSpace, rows: Subspace) -> bool:
-    if space.kind in ("quadratic", "hyperbolic") and any(space.quad(v) for v in rows):
-        return False
+    """B = 0 on all pairs of rows; a row with itself tests Q = B(v, v)/2."""
     return all(
         space.bilinear(rows[i], rows[j]) == 0 for i in range(len(rows)) for j in range(i, len(rows))
     )
@@ -361,15 +358,13 @@ def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSe
 
 def _perp_space(space: FqSpace, vectors: Sequence[Vector]) -> list[Vector]:
     """Basis of the orthogonal complement of the given vectors."""
-    n, p = space.dim, space.p
-    constraints = []
-    for f in vectors:
-        constraints.append([space.bilinear(f, tuple(1 if c == a else 0 for c in range(n))) for a in range(n)])
-    return nullspace(constraints, n, p)
+    return nullspace([space.functional(f) for f in vectors], space.dim, space.p)
 
 
 def validate_flag(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) -> Flag:
     """Canonicalize a chain to RREF members and check it is a flag of the space."""
+    if {len(v) for member in chain for v in member} - {space.dim}:
+        raise ValueError(f"flag vectors must have length {space.dim}")
     canon = tuple(rref(member, space.p) for member in chain)
     prev_dim = 0
     for i, member in enumerate(canon):
@@ -431,7 +426,7 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
         sigma.append(idx)
         bullet_cols.append(col)
         if not linear:
-            mirror_cols.append(columns.index(-idx))
+            mirror_cols.append(n - 1 - col)
 
     if sorted(abs(x) for x in sigma) != list(range(1, steps + 1)):
         raise AssertionError(f"extraction produced a non-permutation {sigma}")

@@ -25,8 +25,8 @@ SignedPerm = tuple[int, ...]
 
 FAMILY_TAGS = ("A", "BC", "D")
 
-# Enumeration caps per family; BFS additionally caps on group order.
-ENUM_CAPS = {"A": 8, "BC": 6, "D": 6}
+# Caps on group order; enumeration admits A d <= 8, BC d <= 6 and D d <= 6.
+ENUM_MAX_ORDER = 46_080
 BFS_MAX_ORDER = 4_000_000
 
 
@@ -186,8 +186,8 @@ def descent_count(perm: SignedPerm) -> int:
 
 def enumerate_group(fam: GroupFamily) -> Iterator[SignedPerm]:
     """All elements in lexicographic one-line order."""
-    if fam.d > ENUM_CAPS[fam.tag]:
-        raise ValueError(f"rank {fam.d} over the type-{fam.tag} enumeration cap {ENUM_CAPS[fam.tag]}")
+    if fam.order() > ENUM_MAX_ORDER:
+        raise ValueError(f"type-{fam.tag} group of order {fam.order()} over the enumeration cap {ENUM_MAX_ORDER}")
     yield from _enumerate(fam.tag, fam.d)
 
 

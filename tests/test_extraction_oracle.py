@@ -1,10 +1,15 @@
-"""Brute-force oracle for canonical-basis extraction.
+"""Brute-force oracles for the forms and for canonical-basis extraction.
 
-Re-derives each basis vector straight from its definition: iterate every
-nonzero vector of the current target subspace, keep those with zero
-coordinates at the previous leading positions, and take the one whose last
-nonzero non-mirror coordinate is earliest (normalized there).  The fast
-elimination-based extraction must agree vector for vector.
+B_ref and Q_ref write each typed space's form out per kind, as in the
+textbook; FqSpace.bilinear must agree with B_ref, and B(v, v)/2 with Q_ref.
+
+The extraction oracle re-derives each basis vector straight from its
+definition: iterate every nonzero vector of the current target subspace (past
+the flag, every nonzero vector of the space, B_ref-orthogonal to the ones found
+so far for the typed kinds), keep those with zero coordinates at the previous
+leading positions, and take the one whose last nonzero non-mirror coordinate is
+earliest (normalized there).
+The fast elimination-based extraction must agree vector for vector.
 """
 
 from itertools import product
@@ -12,6 +17,43 @@ from itertools import product
 import pytest
 
 from weylmahonian import flaggeom as fg
+
+
+def B_ref(space, u, v):
+    """The symplectic form, or the polar form of Q, evaluated mod p."""
+    d, p = space.d, space.p
+    if space.kind == "symplectic":
+        total = sum(u[c] * v[2 * d - 1 - c] - u[2 * d - 1 - c] * v[c] for c in range(d))
+    elif space.kind == "hyperbolic":
+        total = sum(u[c] * v[2 * d - 1 - c] + u[2 * d - 1 - c] * v[c] for c in range(d))
+    else:
+        total = 2 * u[d] * v[d]
+        total += sum(u[c] * v[2 * d - c] + u[2 * d - c] * v[c] for c in range(d))
+    return total % p
+
+
+def Q_ref(space, v):
+    """The quadratic form Q of the quadratic kinds."""
+    d, p = space.d, space.p
+    if space.kind == "hyperbolic":
+        return sum(v[c] * v[2 * d - 1 - c] for c in range(d)) % p
+    return (v[d] * v[d] + sum(v[c] * v[2 * d - c] for c in range(d))) % p
+
+
+@pytest.mark.parametrize(
+    "space",
+    [fg.symplectic_space(p, d) for p in (2, 3) for d in (1, 2)]
+    + [make(3, d) for make in (fg.quadratic_space, fg.hyperbolic_space) for d in (1, 2)],
+    ids=lambda s: f"{s.kind}-p{s.p}-d{s.d}",
+)
+def test_bilinear_matches_textbook_forms(space):
+    vectors = list(product(range(space.p), repeat=space.dim))
+    for u, v in product(vectors, repeat=2):
+        assert space.bilinear(u, v) == B_ref(space, u, v)
+    for v in vectors:
+        if space.kind != "symplectic":
+            assert space.bilinear(v, v) * pow(2, -1, space.p) % space.p == Q_ref(space, v)
+        assert fg.is_isotropic(space, (v,)) == (space.kind == "symplectic" or Q_ref(space, v) == 0)
 
 
 def _all_vectors(rows, p):
@@ -29,17 +71,18 @@ def brute_extract(space, chain):
     linear = space.kind == "linear"
     steps = n if linear else space.d
     top = len(chain[-1]) if chain else 0
-    full = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(n))
     fs, sig, bullets, mirrors = [], [], [], []
     for i in range(steps):
         if i < top:
-            target = next(m for m in chain if len(m) > i)
-        elif linear:
-            target = full
+            target = _all_vectors(next(m for m in chain if len(m) > i), p)
         else:
-            target = tuple(fg._perp_space(space, fs))
+            target = (
+                v
+                for v in product(range(p), repeat=n)
+                if any(v) and (linear or all(B_ref(space, f, v) == 0 for f in fs))
+            )
         best = None
-        for v in _all_vectors(target, p):
+        for v in target:
             if any(v[c] for c in bullets):
                 continue
             avail_nz = [c for c in range(n) if v[c] and c not in mirrors and c not in bullets]

@@ -190,6 +190,10 @@ def test_canonical_basis_rejects_bad_flags():
         canonical_basis(sp, (rref([(1, 0, 0, 0), (0, 0, 0, 1)], 3),))  # not isotropic
     with pytest.raises(ValueError):
         canonical_basis(sp, (rref([(1, 0, 0, 0)], 3), rref([(0, 1, 0, 0)], 3)))  # not nested
+    with pytest.raises(ValueError):
+        canonical_basis(linear_space(2, 3), [[(1, 0)]])  # too short
+    with pytest.raises(ValueError):
+        canonical_basis(linear_space(2, 3), [[(1, 0, 0, 1)]])  # too long
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -3,6 +3,7 @@ from math import comb, factorial
 import pytest
 
 from weylmahonian.weylgroups import (
+    ENUM_MAX_ORDER,
     GroupFamily,
     central_element,
     compose,
@@ -105,6 +106,15 @@ def test_enumerate_group_counts_and_order():
 def test_enumerate_group_cap():
     with pytest.raises(ValueError):
         next(enumerate_group(GroupFamily("BC", 7)))
+
+
+def test_enumeration_cap_bounds_group_order():
+    """The cap counts elements: it admits A d <= 8, BC d <= 6 and D d <= 6."""
+    for tag, top in (("A", 8), ("BC", 6), ("D", 6)):
+        assert GroupFamily(tag, top).order() <= ENUM_MAX_ORDER < GroupFamily(tag, top + 1).order()
+        next(enumerate_group(GroupFamily(tag, top)))
+        with pytest.raises(ValueError, match=f"order {GroupFamily(tag, top + 1).order()} over"):
+            next(enumerate_group(GroupFamily(tag, top + 1)))
 
 
 def test_compose_inverse():
