@@ -1,8 +1,8 @@
 """Exact Weyl-Mahonian statistics for Weyl groups of types A, B/C and D.
 
 The package computes the joint (length, Weyl-Major) generating polynomials of
-the three infinite Weyl group families by two independent routes (direct group
-enumeration and flag-counting recursions) and cross-checks them against a
+the three infinite Weyl group families by two independent routes (a direct
+sum over the group and the flag-counting recursions) and cross-checks them against a
 brute-force flag-enumeration oracle over small prime fields.
 """
 

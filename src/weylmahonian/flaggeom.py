@@ -233,13 +233,18 @@ def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
     if k > space.iso_max:
         return
     dim, p = space.dim, space.p
+    singular: dict[Vector, bool] = {}  # Q(v) = 0, tested once per distinct row
     for pivots in combinations(range(dim), k):
         cands = [_row_candidates(dim, pivots, r, p) for r in range(k)]
         if space.kind == "linear":
             yield from product(*cands)
             continue
         if space.kind in ("quadratic", "hyperbolic"):
-            cands = [[v for v in rows if space.bilinear(v, v) == 0] for rows in cands]
+            for rows in cands:
+                for v in rows:
+                    if v not in singular:
+                        singular[v] = space.bilinear(v, v) == 0
+            cands = [[v for v in rows if singular[v]] for rows in cands]
         yield from _isotropic_dfs(space, cands, k)
 
 

@@ -3,13 +3,37 @@
 The central objects are the bivariate generating polynomials of
 (length, Weyl-Major index) over a Weyl group family, optionally refined by a
 third variable s marking the descent statistic.  Two independent routes are
-provided for each: a direct sum over the enumerated group, and the
-flag-counting recursions; the two agreeing is a core correctness check.
+provided for each: a direct sum over the group, and the flag-counting
+recursions; the two agreeing is a core correctness check.
 
 All divisions appearing in quoted closed forms are exact polynomial divisions
 that raise on a nonzero remainder, so evaluating a closed form doubles as a
 check of its divisibility claim.  Empty products are 1 and empty sums 0
 throughout.
+
+The direct route (mahonian_direct) sums q^length t^wmaj s^des over the
+one-line words of the group, built left to right as a DP over prefixes.  The
+state of a prefix is the set of its signed values, as a bit mask in <_pm
+order (1 < ... < d < -d < ... < -1; bit r is the value of <_pm rank r), and
+its last entry.  Each state holds the polynomial of all prefixes reaching it,
+as a dict from one packed exponent eq + Q (et + T es) to a count, with Q and
+T above the q- and t-degree bounds; a layer is drained as the next is built,
+and whole words are summed into one such dict, unpacked once.  Appending
+v at position pos (0-based) to a prefix with last entry prev adds
+
+- to length: the placed values above v in <_pm (the bits of the mask above
+  v's rank), plus the sign part d+1+v (BC) or d+v (D) when v < 0;
+- to wmaj: pos if prev > v as integers, plus 1 when v < 0;
+- to s: 1 if v <_pm prev; at the end, 1 more when the last entry is negative.
+
+These are the statistics of weylgroups (inversions, length, wmaj,
+descent_set) split into per-position terms that read only the state, so the
+sum needs one pass over the states (d 2^(d-1) for A, 2d 3^(d-1) for BC and
+D, checked against DIRECT_MAX_STATES before any arithmetic) and never visits
+a group element.  Type D keeps the final masks with an even number of
+negative values.  The route uses no subspace count, q-binomial, recursion or
+closed form, so its agreement with the recursions below is a real check;
+tests compare it with the per-element sum over enumerate_group.
 
 The recursions run on packed integers (Kronecker substitution), not on
 MultiPoly products.  A polynomial in q, t, s is a list of rows indexed by
@@ -52,18 +76,15 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .algebra import ONE, ZERO, MultiPoly, T
-from .weylgroups import (
-    GroupFamily,
-    descent_count,
-    enumerate_group,
-    length,
-    max_length,
-    wmaj,
-)
+from .weylgroups import GroupFamily, max_length
 
 # Largest packed result (rows x digits per row x bits per digit) that
 # mahonian_recursive builds: 6.25 MB.  BC d=16 with s takes 47,884,240.
 RECUR_MAX_BITS = 50_000_000
+
+# Largest number of prefix states mahonian_direct walks: it admits A d <= 10
+# (5,120 states) and BC, D d <= 7 (10,206), and refuses A d=11 (11,264).
+DIRECT_MAX_STATES = 11_000
 
 
 def _qpow(n: int) -> MultiPoly:
@@ -129,12 +150,75 @@ def even_isotropic_count(d: int, k: int) -> MultiPoly:
     return q_binomial(d, k) * total
 
 
+def _direct_states(fam: GroupFamily) -> int:
+    """Number of nonempty (signed prefix set, last entry) states of mahonian_direct:
+    sum_k k C(d,k) = d 2^(d-1) for A, sum_k k C(d,k) 2^k = 2d 3^(d-1) for BC and D."""
+    d = fam.d
+    return d * 2**d // 2 if fam.tag == "A" else 2 * d * 3**d // 3
+
+
 def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
-    """Sum of q^length * t^wmaj (times s^descents if euler) over the group."""
-    terms: dict[tuple[int, int, int], int] = {}
-    for perm in enumerate_group(fam):
-        key = (length(perm, fam), wmaj(perm), descent_count(perm) if euler else 0)
-        terms[key] = terms.get(key, 0) + 1
+    """Sum of q^length * t^wmaj (times s^descents if euler) over the group, by
+    the prefix DP of the module docstring.
+
+    Raises ValueError, before any arithmetic, if the DP has more than
+    DIRECT_MAX_STATES states."""
+    d, tag = fam.d, fam.tag
+    states = _direct_states(fam)
+    if states > DIRECT_MAX_STATES:
+        raise ValueError(
+            f"the direct sum for {tag} d={d} walks {states} prefix states, over the cap "
+            f"{DIRECT_MAX_STATES}; lower --d or use --method recur"
+        )
+    top = d - 1 if tag == "A" else d
+    t_unit = max_length(fam) + 1  # packed exponent: eq + t_unit * et + s_unit * es
+    s_unit = t_unit * (top * (top + 1) // 2 + 1) if euler else 0
+    sign = d + 1 if tag == "BC" else d  # the sign part of a negative v is sign + v
+    rank = {v: v - 1 for v in range(1, d + 1)}
+    if tag != "A":
+        rank.update({v: 2 * d + v for v in range(-d, 0)})
+    # per value: itself, its <_pm rank, its bit and the bits of both signs of |v|
+    values = [(v, r, 1 << r, 1 << r | 1 << rank.get(-v, r)) for v, r in rank.items()]
+    layer: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
+    packed: dict[int, int] = {} if d else {0: 1}  # the sum over the group
+    for pos in range(d):
+        final = pos == d - 1  # whole words go straight into packed
+        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        while layer:  # drained as it is read, so one layer and a half are alive
+            (mask, prev), poly = layer.popitem()
+            prev_rank = rank.get(prev, 0)
+            for v, r, bit, taken in values:
+                if mask & taken:
+                    continue
+                inc = (mask >> (r + 1)).bit_count()
+                if v < 0:
+                    inc += sign + v + t_unit
+                if pos:
+                    if prev > v:
+                        inc += pos * t_unit
+                    if r < prev_rank:
+                        inc += s_unit
+                if final:
+                    if tag == "D" and ((mask | bit) >> d).bit_count() % 2:
+                        continue  # an odd number of negative values: not in type D
+                    if v < 0:  # a negative last entry is one more descent
+                        inc += s_unit
+                    acc = packed
+                else:
+                    key = (mask | bit, v)
+                    acc = nxt.get(key)
+                    if acc is None:
+                        nxt[key] = {e + inc: c for e, c in poly.items()}
+                        continue
+                for e, c in poly.items():
+                    e += inc
+                    acc[e] = acc.get(e, 0) + c
+        layer = nxt
+    terms = {}
+    for e, c in packed.items():
+        es, e = divmod(e, s_unit) if euler else (0, e)
+        et, eq = divmod(e, t_unit)
+        terms[(eq, et, es)] = c
     return MultiPoly(terms)
 
 

@@ -4,7 +4,7 @@ Every comparison is exact (integer polynomial or count equality); there are
 no numeric tolerances anywhere.  Criterion grids:
 
   1. printed coefficient tables, types BC and D, d = 1..4
-  2. direct = recursive (A d<=7, BC d<=5, D d<=5; Euler-extended for A, BC)
+  2. direct = recursive (A d<=10, BC d<=7, D d<=7; Euler-extended for A, BC)
   3. closed-form length = Cayley-graph BFS distance (BC, D at d<=5)
   4. flag-series theorems at p in {3,5}, T = 12 (types A, C, B, D; plain and
      s-marked), plus C, B and D at p = 3, d = 3 and A at p = 2, d = 5
@@ -47,15 +47,15 @@ def test_criterion_1_reference_tables():
 
 
 def test_criterion_2_direct_equals_recursive():
-    grids = [("A", 7, True), ("BC", 5, True), ("D", 5, False)]
+    grids = [("A", 10, True), ("BC", 7, True), ("D", 7, False)]
     for tag, dmax, euler_too in grids:
         for d in range(dmax + 1):
             passes(checks.direct_vs_recursive(tag, d))
             if euler_too:
                 passes(checks.direct_vs_recursive(tag, d, euler=True))
-    report("criterion 2: direct = recursive (A<=7, BC<=5, D<=5; +euler A,BC)", True)
+    report("criterion 2: direct = recursive (A<=10, BC<=7, D<=7; +euler A,BC)", True)
     # reported, not gated: the type-D Euler-extended comparison
-    for d in range(6):
+    for d in range(8):
         rep = checks.d_euler_direct_vs_recursive(d)
         print(f"INFO  d_euler_direct_vs_recursive d={d}: "
               f"{'agrees' if rep.passed else 'DIFFERS: ' + str(rep.discrepancy)}")

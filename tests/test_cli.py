@@ -249,6 +249,19 @@ def test_enumeration_cap_reports_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("family, d", [("A", 11), ("BC", 8), ("D", 8), ("A", 500)])
+def test_direct_work_guard_reports_usage_error(capsys, family, d):
+    start = time.perf_counter()
+    code = run(["mahonian", "--family", family, "--d", str(d), "--method", "enum", "--euler"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"error: the direct sum for {family} d={d} walks")
+
+
 def test_recursion_work_guard_reports_usage_error(capsys):
     start = time.perf_counter()
     code = run(["mahonian", "--family", "A", "--d", "200", "--method", "recur"])

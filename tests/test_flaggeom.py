@@ -338,6 +338,20 @@ def test_flag_series_tests_no_containment(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("space", [quadratic_space(3, 3), hyperbolic_space(3, 3)], ids=lambda sp: sp.kind)
+def test_quadratic_filter_tests_each_row_once(monkeypatch, space):
+    """One call tests Q on each distinct candidate row once, although a row
+    is a candidate under every pivot set that leaves its support free."""
+    import weylmahonian.flaggeom as fg
+
+    real, diagonal = fg.FqSpace.bilinear, []
+    monkeypatch.setattr(fg.FqSpace, "bilinear", lambda sp, u, v: (u == v and diagonal.append(u)) or real(sp, u, v))
+    for k in range(1, space.d + 1):
+        diagonal.clear()
+        assert list(enumerate_subspaces(space, k))
+        assert diagonal and len(diagonal) == len(set(diagonal))
+
+
 def test_deterministic_enumeration():
     sp = symplectic_space(3, 2)
     a = list(enumerate_subspaces(sp, 2))

@@ -2,6 +2,8 @@ import pytest
 
 from weylmahonian.algebra import MultiPoly
 from weylmahonian.statistics import (
+    DIRECT_MAX_STATES,
+    _direct_states,
     _layout,
     closed_form,
     even_isotropic_count,
@@ -13,7 +15,7 @@ from weylmahonian.statistics import (
     qbinomial_theorem_sides,
     symplectic_isotropic_count,
 )
-from weylmahonian.weylgroups import GroupFamily
+from weylmahonian.weylgroups import GroupFamily, descent_count, enumerate_group, length, wmaj
 
 from reference_tables import BC_TABLES, D_TABLES, table_poly
 
@@ -60,6 +62,44 @@ def test_mahonian_direct_examples():
     assert mahonian_direct(GroupFamily("BC", 1)) == 1 + Q * T
     assert mahonian_direct(GroupFamily("D", 2)) == 1 + Q * T + Q * T**2 + Q**2 * T**3
     assert mahonian_direct(GroupFamily("A", 2)) == 1 + Q * T
+
+
+def per_element_sum(fam: GroupFamily, euler: bool) -> MultiPoly:
+    """The direct sum the slow way: every element and its three statistics."""
+    terms: dict[tuple[int, int, int], int] = {}
+    for perm in enumerate_group(fam):
+        key = (length(perm, fam), wmaj(perm), descent_count(perm) if euler else 0)
+        terms[key] = terms.get(key, 0) + 1
+    return MultiPoly(terms)
+
+
+@pytest.mark.parametrize("tag,dmax", [("A", 7), ("BC", 5), ("D", 5)])
+@pytest.mark.parametrize("euler", [False, True])
+def test_direct_equals_per_element_sum(tag, dmax, euler):
+    for d in range(dmax + 1):
+        fam = GroupFamily(tag, d)
+        assert mahonian_direct(fam, euler) == per_element_sum(fam, euler), (tag, d)
+
+
+@pytest.mark.parametrize("tag", ["A", "BC"])
+def test_direct_state_count_is_prefix_count(tag):
+    """The closed state count is the number of distinct (value set, last
+    entry) pairs over the nonempty prefixes of the group's words (type D
+    walks the BC states)."""
+    for d in range(6):
+        prefixes = {(frozenset(w[:k]), w[k - 1]) for w in enumerate_group(GroupFamily(tag, d)) for k in range(1, d + 1)}
+        assert _direct_states(GroupFamily(tag, d)) == len(prefixes)
+    assert _direct_states(GroupFamily("D", 5)) == _direct_states(GroupFamily("BC", 5))
+
+
+def test_direct_work_guard_bounds_the_states():
+    """The guard admits A d <= 10 and BC, D d <= 7, and refuses A d = 11 and
+    BC, D d = 8 before any arithmetic."""
+    for tag, top in (("A", 10), ("BC", 7), ("D", 7)):
+        assert _direct_states(GroupFamily(tag, top)) <= DIRECT_MAX_STATES < _direct_states(GroupFamily(tag, top + 1))
+        for d in (top + 1, top + 5, 60):
+            with pytest.raises(ValueError, match=f"{tag} d={d} walks .* prefix states, over the cap"):
+                mahonian_direct(GroupFamily(tag, d), euler=True)
 
 
 def test_mahonian_recursive_examples():
