@@ -389,9 +389,13 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
 
     Each step finds the unique shortest vector, with last nonzero coordinate 1,
     inside the first flag member not yet spanned, subject to zero coordinates
-    at the previously used positions.  "Shortest" ignores the coordinates at
-    the mirror positions -sigma(1), ..., -sigma(i-1), which are determined by
-    orthogonality (and, for the quadratic kinds, isotropy) rather than free.
+    at the previously used positions.  The mirror positions -sigma(1), ...,
+    -sigma(i-1) need no special treatment: each f_j found vanishes above its
+    position c_j, so for v orthogonal to every earlier f_j, B(f_j, v) =
+    w v_(n-1-c_j) plus terms at positions above n-1-c_j, with w a unit mod p.
+    Taken top-down, a v vanishing at the used positions thus vanishes at every
+    mirror position above its last nonzero non-mirror coordinate, and no
+    mirror position is ever the last nonzero coordinate.
     Once the flag is exhausted, construction continues in the orthogonal
     complement of the vectors found so far (the full space in the linear
     case), producing a basis of a canonically chosen maximal isotropic
@@ -408,7 +412,6 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
     fs: list[Vector] = []
     sigma: list[int] = []
     bullet_cols: list[int] = []
-    mirror_cols: list[int] = []
 
     for i in range(steps):
         if i < flag_top:
@@ -417,21 +420,17 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
             target = full
         else:
             target = _perp_space(space, fs)
-        used = set(bullet_cols) | set(mirror_cols)
-        avail = sorted((c for c in range(n) if c not in used), reverse=True)
+        avail = sorted((c for c in range(n) if c not in bullet_cols), reverse=True)
         # The pivots after the used positions span the target vectors that
         # vanish there; with the available columns taken worst-first, the last
         # pivot row is the minimal such vector.
-        pivots = _eliminate(target, p, bullet_cols + avail + sorted(mirror_cols, reverse=True))
+        pivots = _eliminate(target, p, bullet_cols + avail)
         col, vec = pivots[-1]
         if col not in avail:
-            raise ValueError("degenerate span: minimal vector ends at a used or mirror column")
+            raise ValueError("degenerate span: minimal vector ends at a used column")
         fs.append(tuple(vec))
-        idx = columns[col]
-        sigma.append(idx)
+        sigma.append(columns[col])
         bullet_cols.append(col)
-        if not linear:
-            mirror_cols.append(n - 1 - col)
 
     if sorted(abs(x) for x in sigma) != list(range(1, steps + 1)):
         raise AssertionError(f"extraction produced a non-permutation {sigma}")

@@ -76,7 +76,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .algebra import ONE, ZERO, MultiPoly, T
-from .weylgroups import GroupFamily, max_length
+from .weylgroups import GroupFamily, max_length, pm_coordinates
 
 # Largest packed result (rows x digits per row x bits per digit) that
 # mahonian_recursive builds: 6.25 MB.  BC d=16 with s takes 47,884,240.
@@ -174,9 +174,7 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
     t_unit = max_length(fam) + 1  # packed exponent: eq + t_unit * et + s_unit * es
     s_unit = t_unit * (top * (top + 1) // 2 + 1) if euler else 0
     sign = d + 1 if tag == "BC" else d  # the sign part of a negative v is sign + v
-    rank = {v: v - 1 for v in range(1, d + 1)}
-    if tag != "A":
-        rank.update({v: 2 * d + v for v in range(-d, 0)})
+    rank = {v: r for r, v in enumerate(pm_coordinates(d, "A" if tag == "A" else "C"))}
     # per value: itself, its <_pm rank, its bit and the bits of both signs of |v|
     values = [(v, r, 1 << r, 1 << r | 1 << rank.get(-v, r)) for v, r in rank.items()]
     layer: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}

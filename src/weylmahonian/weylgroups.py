@@ -19,15 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterator
+from types import MappingProxyType
+from typing import Iterator, Mapping
 
 SignedPerm = tuple[int, ...]
 
 FAMILY_TAGS = ("A", "BC", "D")
 
-# Caps on group order; enumeration admits A d <= 8, BC d <= 6 and D d <= 6.
+# The one cap on group order, for enumeration and the BFS length oracle alike:
+# it admits A d <= 8, BC d <= 6 and D d <= 6.  A BFS table keyed by element
+# takes about 170 B per element, so the cap also bounds it to about 8 MB.
 ENUM_MAX_ORDER = 46_080
-BFS_MAX_ORDER = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -184,10 +186,14 @@ def descent_count(perm: SignedPerm) -> int:
     return len(descent_set(perm))
 
 
-def enumerate_group(fam: GroupFamily) -> Iterator[SignedPerm]:
-    """All elements in lexicographic one-line order."""
+def _check_order(fam: GroupFamily) -> None:
     if fam.order() > ENUM_MAX_ORDER:
         raise ValueError(f"type-{fam.tag} group of order {fam.order()} over the enumeration cap {ENUM_MAX_ORDER}")
+
+
+def enumerate_group(fam: GroupFamily) -> Iterator[SignedPerm]:
+    """All elements in lexicographic one-line order."""
+    _check_order(fam)
     yield from _enumerate(fam.tag, fam.d)
 
 
@@ -219,35 +225,14 @@ def _enumerate(tag: str, d: int) -> Iterator[SignedPerm]:
 # -- independent word-length oracle (Cayley graph BFS) -----------------------
 
 
-def _rank(perm: SignedPerm, signed: bool) -> int:
-    """Mixed-radix rank: Lehmer code of the absolute values, then sign bits."""
-    d = len(perm)
-    abs_vals = [abs(x) for x in perm]
-    r = 0
-    for i in range(d):
-        smaller = sum(1 for j in range(i + 1, d) if abs_vals[j] < abs_vals[i])
-        r = r * (d - i) + smaller
-    if signed:
-        bits = 0
-        for x in perm:
-            bits = bits * 2 + (1 if x < 0 else 0)
-        r = r * 2**d + bits
-    return r
-
-
 @lru_cache(maxsize=None)
-def _bfs_distances(fam: GroupFamily) -> list[int]:
+def _bfs_distances(fam: GroupFamily) -> Mapping[SignedPerm, int]:
     """Graph distances from the identity under right multiplication by the
-    generators, stored in a flat table indexed by _rank."""
-    size = factorial(fam.d) * (1 if fam.tag == "A" else 2**fam.d)
-    if fam.order() > BFS_MAX_ORDER:
-        raise ValueError(f"group of order {fam.order()} over the BFS cap {BFS_MAX_ORDER}")
-    signed = fam.tag != "A"
+    generators, as a read-only map from element to distance."""
+    _check_order(fam)
     gens = fam.generators()
-    dist = [-1] * size
-    start = identity(fam.d)
-    dist[_rank(start, signed)] = 0
-    frontier = [start]
+    frontier = [identity(fam.d)]
+    dist = {frontier[0]: 0}
     depth = 0
     while frontier:
         depth += 1
@@ -255,19 +240,18 @@ def _bfs_distances(fam: GroupFamily) -> list[int]:
         for perm in frontier:
             for g in gens:
                 nb = compose(perm, g)
-                r = _rank(nb, signed)
-                if dist[r] < 0:
-                    dist[r] = depth
+                if nb not in dist:
+                    dist[nb] = depth
                     nxt.append(nb)
         frontier = nxt
-    return dist
+    return MappingProxyType(dist)
 
 
 def coxeter_word_length(perm: SignedPerm, fam: GroupFamily) -> int:
     """Distance from the identity in the Cayley graph; independent of length()."""
     check_member(perm, fam)
-    d = _bfs_distances(fam)[_rank(perm, fam.tag != "A")]
-    if d < 0:
+    d = _bfs_distances(fam).get(tuple(perm))
+    if d is None:
         raise ValueError(f"{perm} not reached by BFS (not in the group?)")
     return d
 

@@ -5,7 +5,7 @@ no numeric tolerances anywhere.  Criterion grids:
 
   1. printed coefficient tables, types BC and D, d = 1..4
   2. direct = recursive (A d<=10, BC d<=7, D d<=7; Euler-extended for A, BC)
-  3. closed-form length = Cayley-graph BFS distance (BC, D at d<=5)
+  3. closed-form length = Cayley-graph BFS distance (BC, D at d<=6)
   4. flag-series theorems at p in {3,5}, T = 12 (types A, C, B, D; plain and
      s-marked), plus C, B and D at p = 3, d = 3 and A at p = 2, d = 5
   5. subspace counting formulas at p in {3,5}, ambient dimension <= 6
@@ -63,13 +63,13 @@ def test_criterion_2_direct_equals_recursive():
 
 def test_criterion_3_length_equals_word_length():
     for tag in ("BC", "D"):
-        for d in range(1, 6):
+        for d in range(1, 7):
             passes(checks.length_vs_bfs(tag, d))
     assert length((-2, -3, 1), GroupFamily("BC", 3)) == 6
     assert coxeter_word_length((-2, -3, 1), GroupFamily("BC", 3)) == 6
     assert length((-2, 4, -3, 1), GroupFamily("D", 4)) == 8
     assert coxeter_word_length((-2, 4, -3, 1), GroupFamily("D", 4)) == 8
-    report("criterion 3: closed-form length = BFS distance, BC and D, d<=5", True)
+    report("criterion 3: closed-form length = BFS distance, BC and D, d<=6", True)
 
 
 def test_criterion_4_flag_series_theorems():

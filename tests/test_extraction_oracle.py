@@ -108,8 +108,11 @@ def brute_extract(space, chain):
     [
         fg.linear_space(2, 3),
         fg.linear_space(3, 2),
+        fg.symplectic_space(2, 3),
         fg.symplectic_space(3, 2),
+        fg.symplectic_space(5, 2),
         fg.quadratic_space(3, 1),
+        fg.quadratic_space(3, 2),
         fg.hyperbolic_space(3, 2),
     ],
     ids=lambda s: f"{s.kind}-p{s.p}-d{s.d}",

@@ -2,6 +2,7 @@ from math import comb, factorial
 
 import pytest
 
+from weylmahonian import weylgroups
 from weylmahonian.weylgroups import (
     ENUM_MAX_ORDER,
     GroupFamily,
@@ -115,6 +116,8 @@ def test_enumeration_cap_bounds_group_order():
         next(enumerate_group(GroupFamily(tag, top)))
         with pytest.raises(ValueError, match=f"order {GroupFamily(tag, top + 1).order()} over"):
             next(enumerate_group(GroupFamily(tag, top + 1)))
+        with pytest.raises(ValueError, match=f"order {GroupFamily(tag, top + 1).order()} over"):
+            coxeter_word_length(identity(top + 1), GroupFamily(tag, top + 1))
 
 
 def test_compose_inverse():
@@ -139,6 +142,17 @@ def test_length_equals_bfs_small(tag, d):
     fam = GroupFamily(tag, d)
     for perm in enumerate_group(fam):
         assert length(perm, fam) == coxeter_word_length(perm, fam)
+
+
+@pytest.mark.parametrize("tag,top", [("A", 5), ("BC", 4), ("D", 4)])
+def test_bfs_reaches_every_element_read_only(tag, top):
+    for d in range(top + 1):
+        fam = GroupFamily(tag, d)
+        dist = weylgroups._bfs_distances(fam)
+        assert len(dist) == fam.order()
+        assert all(fam.contains(perm) for perm in dist)
+        with pytest.raises(TypeError):
+            dist[identity(d)] = 1
 
 
 def test_bfs_reference_values():
