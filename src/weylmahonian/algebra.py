@@ -7,8 +7,9 @@ coefficients:
 
 with (eq, et, es) the degrees of q, t, s in the monomial.  Zero coefficients
 are never stored, so two polynomials are equal iff their term maps are equal.
-The map is a read-only view, so a polynomial handed out by a cache or held as
-a module constant cannot be changed in place.
+The map is a read-only view and no field of a MultiPoly or TruncSeries can be
+rebound or deleted, so a value handed out by a cache or held as a module
+constant cannot be changed in place.
 All coefficients are Python ints (arbitrary precision); no floats anywhere.
 
 A TruncSeries is a power series in t truncated at a fixed degree ``bound``:
@@ -37,10 +38,15 @@ class ExactDivisionError(ArithmeticError):
     """Raised when a polynomial division that must be exact leaves a remainder."""
 
 
+def _read_only(self, name: str, *value) -> None:
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only: the value is immutable")
+
+
 class MultiPoly:
     """Integer polynomial in q, t, s with canonical (zero-free) term storage."""
 
     __slots__ = ("terms",)
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, terms: Mapping[Exponent, int] | None = None):
         clean: dict[Exponent, int] = {}
@@ -52,7 +58,7 @@ class MultiPoly:
                 if eq < 0 or et < 0 or es < 0:
                     raise ValueError(f"negative exponent in {exp}")
                 clean[(eq, et, es)] = coeff
-        self.terms = MappingProxyType(clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     # -- constructors ------------------------------------------------------
 
@@ -327,6 +333,7 @@ class TruncSeries:
     """Power series in t truncated at ``bound``; coefficients live in Z[q, s]."""
 
     __slots__ = ("bound", "poly")
+    __setattr__ = __delattr__ = _read_only
 
     def __init__(self, bound: int, coeffs: list[MultiPoly] | None = None):
         if bound < 0:
@@ -336,10 +343,9 @@ class TruncSeries:
             raise ValueError("more coefficients than the bound allows")
         if any(c.degree("t") for c in cs):
             raise ValueError("series coefficients must be free of t")
-        self.bound = bound
-        self.poly = MultiPoly(
-            {(eq, n, es): v for n, c in enumerate(cs) for (eq, _, es), v in c.terms.items()}
-        )
+        terms = {(eq, n, es): v for n, c in enumerate(cs) for (eq, _, es), v in c.terms.items()}
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "poly", MultiPoly(terms))
 
     @classmethod
     def zero(cls, bound: int) -> "TruncSeries":
@@ -353,7 +359,7 @@ class TruncSeries:
     def from_poly(cls, p: MultiPoly, bound: int) -> "TruncSeries":
         """Truncate a polynomial: drop its terms above t^bound."""
         out = cls(bound)
-        out.poly = MultiPoly({e: c for e, c in p.terms.items() if e[1] <= bound})
+        object.__setattr__(out, "poly", MultiPoly({e: c for e, c in p.terms.items() if e[1] <= bound}))
         return out
 
     @classmethod

@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import MultiPoly, TruncSeries
 from .weylgroups import GroupFamily, SignedPerm, check_member, descent_set, pm_coordinates
@@ -214,11 +214,6 @@ def _row_candidates(dim: int, pivots: tuple[int, ...], r: int, p: int) -> list[V
     return out
 
 
-def _guard_cells(space: FqSpace) -> None:
-    if space.p**space.dim > MAX_CELLS:
-        raise ValueError(f"p^dim = {space.p}^{space.dim} exceeds the cell cap {MAX_CELLS}")
-
-
 def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
     """Deterministic stream of the k-dimensional subspaces a flag may contain,
     as RREF row tuples.
@@ -229,7 +224,8 @@ def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
     """
     if not 0 <= k <= space.dim:
         raise ValueError(f"need 0 <= k <= {space.dim}, got {k}")
-    _guard_cells(space)
+    if space.p**space.dim > MAX_CELLS:
+        raise ValueError(f"p^dim = {space.p}^{space.dim} exceeds the cell cap {MAX_CELLS}")
     if k > space.iso_max:
         return
     dim, p = space.dim, space.p
@@ -306,6 +302,21 @@ def _containment(space: FqSpace) -> Mapping[Subspace, tuple[Subspace, ...]]:
     return MappingProxyType({sub: tuple(bigs) for sub, bigs in above.items()})
 
 
+def _walk(space: FqSpace, extend: Callable[[tuple, Subspace], tuple | None]) -> Iterator[tuple]:
+    """Depth-first walk up the containment relation, one state per flag: () for
+    the empty flag, then extend(state, W) for a flag extended by W, where None
+    skips that flag and every flag through it."""
+    above = _containment(space)
+    stack = [((), ())]
+    while stack:
+        state, top = stack.pop()
+        yield state
+        for sub in reversed(above[top]):  # popped in enumeration order
+            nxt = extend(state, sub)
+            if nxt is not None:
+                stack.append((nxt, sub))
+
+
 def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[Flag]:
     """All flags (strictly increasing chains of nonzero subspaces), the empty
     flag first: a depth-first walk up from the zero subspace.  Typed spaces
@@ -316,17 +327,9 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
         even_only = space.kind == "hyperbolic"
     if even_only and space.kind != "hyperbolic":
         raise ValueError("parity filtering needs the hyperbolic space")
-    above = _containment(space)
-
-    def rec(chain: list[Subspace], top: Subspace) -> Iterator[Flag]:
-        if not even_only or metabolizer_excess(space, top) % 2 == 0:
-            yield tuple(chain)
-        for sub in above[top]:
-            chain.append(sub)
-            yield from rec(chain, sub)
-            chain.pop()
-
-    yield from rec([], ())  # the walk starts at the zero subspace
+    even = cache(lambda sub: metabolizer_excess(space, sub) % 2 == 0)  # once per subspace
+    chains = _walk(space, lambda chain, sub: (*chain, sub))
+    yield from (chain for chain in chains if not even_only or not chain or even(chain[-1]))
 
 
 def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: bool = False) -> TruncSeries:
@@ -354,16 +357,10 @@ def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSe
 
     For the hyperbolic space the sum runs over even flags.
     """
-    _guard_cells(space)
     return weighted_flag_sum(enumerate_flags(space), space.iso_max, bound, with_alpha)
 
 
 # -- canonical bases ------------------------------------------------------------
-
-
-def _perp_space(space: FqSpace, vectors: Sequence[Vector]) -> list[Vector]:
-    """Basis of the orthogonal complement of the given vectors."""
-    return nullspace([space.functional(f) for f in vectors], space.dim, space.p)
 
 
 def validate_flag(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) -> Flag:
@@ -384,6 +381,42 @@ def validate_flag(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) -> F
     return canon
 
 
+def _step(space: FqSpace, target: Sequence[Vector], cols: Sequence[int]) -> tuple[int, Vector]:
+    """One extraction step: (column, vector) of the minimal target vector vanishing at cols."""
+    avail = sorted((c for c in range(space.dim) if c not in cols), reverse=True)
+    # The pivots after the used positions span the target vectors that
+    # vanish there; with the available columns taken worst-first, the last
+    # pivot row is the minimal such vector.
+    col, vec = _eliminate(target, space.p, [*cols, *avail])[-1]
+    if col in cols:
+        raise ValueError("degenerate span: minimal vector ends at a used column")
+    return col, tuple(vec)
+
+
+def _signed_perm(space: FqSpace, cols: Sequence[int]) -> SignedPerm:
+    """The length-permutation read off the columns of a whole extraction."""
+    sigma = tuple(space.columns[c] for c in cols)
+    if sorted(abs(x) for x in sigma) != list(range(1, len(sigma) + 1)):
+        raise AssertionError(f"extraction produced a non-permutation {sigma}")
+    return sigma
+
+
+def _extract(space: FqSpace, chain: Flag) -> tuple[tuple[Vector, ...], SignedPerm]:
+    """canonical_basis of a flag already RREF, nested and isotropic: each step
+    inside the first member not yet spanned, then in the full space (linear)
+    or the orthogonal complement of the vectors found."""
+    fs: list[Vector] = []
+    cols: list[int] = []
+    while len(cols) < space.iso_max:
+        target = next((m for m in chain if len(m) > len(cols)), None)
+        if target is None:  # past the flag (the full space is the complement of no forms)
+            target = nullspace([space.functional(f) for f in fs if space.kind != "linear"], space.dim, space.p)
+        col, vec = _step(space, target, cols)
+        cols.append(col)
+        fs.append(vec)
+    return tuple(fs), _signed_perm(space, cols)
+
+
 def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) -> tuple[tuple[Vector, ...], SignedPerm]:
     """The canonical (half-)basis adapted to a flag, and its length-permutation.
 
@@ -401,50 +434,17 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
     case), producing a basis of a canonically chosen maximal isotropic
     subspace containing the flag.
     """
-    chain = validate_flag(space, chain)
-    p, n = space.p, space.dim
-    linear = space.kind == "linear"
-    steps = n if linear else space.d
-    columns = space.columns
-    flag_top = len(chain[-1]) if chain else 0
-
-    full = [tuple(1 if c == r else 0 for c in range(n)) for r in range(n)]
-    fs: list[Vector] = []
-    sigma: list[int] = []
-    bullet_cols: list[int] = []
-
-    for i in range(steps):
-        if i < flag_top:
-            target = next(m for m in chain if len(m) > i)
-        elif linear:
-            target = full
-        else:
-            target = _perp_space(space, fs)
-        avail = sorted((c for c in range(n) if c not in bullet_cols), reverse=True)
-        # The pivots after the used positions span the target vectors that
-        # vanish there; with the available columns taken worst-first, the last
-        # pivot row is the minimal such vector.
-        pivots = _eliminate(target, p, bullet_cols + avail)
-        col, vec = pivots[-1]
-        if col not in avail:
-            raise ValueError("degenerate span: minimal vector ends at a used column")
-        fs.append(tuple(vec))
-        sigma.append(columns[col])
-        bullet_cols.append(col)
-
-    if sorted(abs(x) for x in sigma) != list(range(1, steps + 1)):
-        raise AssertionError(f"extraction produced a non-permutation {sigma}")
-    return tuple(fs), tuple(sigma)
+    return _extract(space, validate_flag(space, chain))
 
 
 @lru_cache(maxsize=None)
-def _complete_flag_tally(space: FqSpace) -> dict[SignedPerm, int]:
-    """Length-permutation tally over all complete flags of the space."""
-    return Counter(
-        canonical_basis(space, chain)[1]
-        for chain in enumerate_flags(space, even_only=False)
-        if len(chain) == space.iso_max
-    )
+def _complete_flag_tally(space: FqSpace) -> Mapping[SignedPerm, int]:
+    """Length-permutation tally over all complete flags of the space (read-only:
+    the cache hands it to every caller).  The walk takes one-dimension steps
+    and carries the used columns, so each step runs once per walk node."""
+    one_step = lambda cols, sub: (*cols, _step(space, sub, cols)[0]) if len(sub) == len(cols) + 1 else None
+    complete = (cols for cols in _walk(space, one_step) if len(cols) == space.iso_max)
+    return MappingProxyType(Counter(_signed_perm(space, cols) for cols in complete))
 
 
 def count_canonical_bases(space: FqSpace, perm: SignedPerm) -> int:
@@ -486,5 +486,5 @@ def flags_by_canonical_basis(space: FqSpace) -> dict[tuple[tuple[Vector, ...], S
         raise ValueError("refinement enumeration is implemented for linear spaces")
     buckets: dict[tuple[tuple[Vector, ...], SignedPerm], list[Flag]] = {}
     for chain in enumerate_flags(space):
-        buckets.setdefault(canonical_basis(space, chain), []).append(chain)
+        buckets.setdefault(_extract(space, chain), []).append(chain)
     return buckets

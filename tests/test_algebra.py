@@ -1,5 +1,6 @@
 import json
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -169,6 +170,16 @@ def test_polynomial_terms_are_read_only():
             poly.terms[(0, 0, 0)] = 7
     with pytest.raises(TypeError):
         TruncSeries.one(3).coeffs[1].terms[(0, 0, 0)] = 7
+    # no field can be rebound or deleted either
+    with pytest.raises(AttributeError):
+        algebra.ONE.terms = MappingProxyType({(0, 0, 0): 2})
+    with pytest.raises(AttributeError):
+        del algebra.ONE.terms
+    series = TruncSeries.one(3)
+    for name, value in (("bound", 1), ("poly", algebra.ZERO)):
+        with pytest.raises(AttributeError):
+            setattr(series, name, value)
+    assert series.bound == 3 and series == TruncSeries.one(3)
     assert algebra.ONE == MultiPoly.one() and not algebra.ZERO.terms
     assert q_binomial(4, 2).evaluate() == 6
 

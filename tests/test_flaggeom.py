@@ -1,3 +1,7 @@
+import inspect
+import sys
+from collections import Counter
+
 import pytest
 
 from weylmahonian.algebra import MultiPoly, TruncSeries
@@ -211,6 +215,101 @@ def test_count_canonical_bases_type_c():
         assert count_canonical_bases(sp, sig) == 3 ** length(sig, fam)
     assert count_canonical_bases(symplectic_space(3, 1), (-1,)) == 3
     assert count_canonical_bases(linear_space(3, 2), (2, 1)) == 3
+
+
+def test_complete_flag_tally_is_read_only():
+    import weylmahonian.flaggeom as fg
+
+    sp = linear_space(2, 2)
+    with pytest.raises(TypeError):
+        fg._complete_flag_tally(sp)[(1, 2)] = 99
+    assert count_canonical_bases(sp, (1, 2)) == 1
+
+
+@pytest.mark.parametrize(
+    "space",
+    [linear_space(2, 3), symplectic_space(3, 2), quadratic_space(3, 2), hyperbolic_space(3, 2)],
+    ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
+)
+def test_tally_matches_per_flag_extraction(space):
+    """The walk's tally equals its per-flag definition: canonical_basis of
+    every complete flag, odd ones included for the hyperbolic space."""
+    import weylmahonian.flaggeom as fg
+
+    want = Counter(
+        canonical_basis(space, chain)[1]
+        for chain in enumerate_flags(space, even_only=False)
+        if len(chain) == space.iso_max
+    )
+    assert dict(fg._complete_flag_tally.__wrapped__(space)) == want
+
+
+def _caller_spy(monkeypatch, name):
+    """Wrap flaggeom.<name> to record the name of the function calling it."""
+    import weylmahonian.flaggeom as fg
+
+    real, callers = getattr(fg, name), []
+
+    def spy(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args)
+
+    monkeypatch.setattr(fg, name, spy)
+    return callers
+
+
+def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
+    """Flags the package walks itself are not validated again: the tally,
+    the buckets and the series make no validate_flag call."""
+    import weylmahonian.flaggeom as fg
+
+    callers = _caller_spy(monkeypatch, "validate_flag")
+    sp = linear_space(2, 3)
+    for space in (sp, symplectic_space(3, 2), hyperbolic_space(3, 2)):
+        fg._complete_flag_tally.__wrapped__(space)
+        flag_series(space, 6)
+    flags_by_canonical_basis(sp)
+    assert callers == []
+    chains = list(enumerate_flags(sp))
+    for chain in chains:
+        canonical_basis(sp, chain)
+    assert callers == ["canonical_basis"] * len(chains)
+
+
+def test_containment_is_walked_only_by_walk(monkeypatch):
+    """Every flag job reaches the containment relation through the one walk."""
+    import weylmahonian.flaggeom as fg
+
+    callers = _caller_spy(monkeypatch, "_containment")
+    sp, hyp = linear_space(2, 3), hyperbolic_space(3, 2)
+    list(enumerate_flags(hyp))
+    flag_series(hyp, 6)
+    fg._complete_flag_tally.__wrapped__(hyp)
+    flags_by_canonical_basis(sp)
+    assert len(callers) == 4 and set(callers) == {"_walk"}
+
+
+def test_enumerate_flags_is_lazy(monkeypatch):
+    """Nothing is built before the first next()."""
+    assert inspect.isgeneratorfunction(enumerate_flags)
+    callers = _caller_spy(monkeypatch, "_containment")
+    flags = enumerate_flags(linear_space(2, 2))
+    assert callers == []
+    assert next(flags) == () and callers == ["_walk"]
+
+
+def test_parity_is_read_once_per_subspace(monkeypatch):
+    """Even flags are those whose last member has even parity, read once per
+    subspace, not once per flag."""
+    import weylmahonian.flaggeom as fg
+
+    sp = hyperbolic_space(3, 2)
+    chains = enumerate_flags(sp, even_only=False)
+    want = [chain for chain in chains if not chain or metabolizer_excess(sp, chain[-1]) % 2 == 0]
+    real, seen = fg.metabolizer_excess, Counter()
+    monkeypatch.setattr(fg, "metabolizer_excess", lambda space, rows: seen.update([rows]) or real(space, rows))
+    assert list(enumerate_flags(sp)) == want
+    assert seen and max(seen.values()) == 1
 
 
 def test_standard_flag_values():
