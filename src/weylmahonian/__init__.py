@@ -12,6 +12,7 @@ from .algebra import (
     MultiPoly,
     TruncSeries,
     poly_from_json,
+    poly_json,
     poly_latex_table,
     poly_text,
     poly_to_json,
@@ -85,6 +86,7 @@ __all__ = [
     "mahonian_recursive",
     "pm_less",
     "poly_from_json",
+    "poly_json",
     "poly_latex_table",
     "poly_text",
     "poly_to_json",

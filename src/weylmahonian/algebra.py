@@ -292,6 +292,12 @@ def poly_to_json(p: MultiPoly) -> dict:
     }
 
 
+def poly_json(p: MultiPoly) -> str:
+    """``json.dumps(poly_to_json(p))``, written straight from the sorted terms."""
+    terms = ", ".join(f'{{"e": [{eq}, {et}, {es}], "c": "{c}"}}' for (eq, et, es), c in p.sorted_terms())
+    return f'{{"vars": ["q", "t", "s"], "terms": [{terms}]}}'
+
+
 def poly_from_json(obj: dict) -> MultiPoly:
     if obj.get("vars") != list(VARS):
         raise ValueError(f"unexpected variable list {obj.get('vars')!r}")
@@ -310,10 +316,9 @@ def poly_latex_table(p: MultiPoly) -> str:
     """
     dq = p.degree("q")
     dt = p.degree("t")
-    cells: dict[tuple[int, int], MultiPoly] = {}
+    cells: dict[tuple[int, int], dict[Exponent, int]] = {}
     for (eq, et, es), c in p.terms.items():
-        key = (et, eq)
-        cells[key] = cells.get(key, ZERO) + MultiPoly.monomial(c, es=es)
+        cells.setdefault((et, eq), {})[(0, 0, es)] = c
     lines = [r"\begin{array}{c|" + "c" * (dq + 1) + "}"]
     header = [""] + ["1" if j == 0 else ("q" if j == 1 else f"q^{{{j}}}") for j in range(dq + 1)]
     lines.append("&".join(header) + r"\\")
@@ -323,7 +328,7 @@ def poly_latex_table(p: MultiPoly) -> str:
         row = [label]
         for j in range(dq + 1):
             c = cells.get((i, j))
-            row.append("" if c is None else poly_text(c).replace("*", ""))
+            row.append("" if c is None else poly_text(MultiPoly(c)).replace("*", ""))
         lines.append("&".join(row) + r"\\")
     lines.append(r"\end{array}")
     return "\n".join(lines)

@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import checks, flaggeom, statistics
-from .algebra import DEFAULT_BOUND, poly_latex_table, poly_text, poly_to_json
+from .algebra import DEFAULT_BOUND, poly_json, poly_latex_table, poly_text
 from .rothe import ROTHE_KINDS, rothe_diagram
 from .weylgroups import FAMILY_TAGS, GroupFamily, greedy_reduced_word, is_signed_perm, length
 
@@ -101,7 +101,7 @@ def _cmd_mahonian(args) -> int:
     if args.format == "text":
         print(poly_text(poly))
     elif args.format == "json":
-        print(json.dumps(poly_to_json(poly)))
+        print(poly_json(poly))
     else:
         print(poly_latex_table(poly))
     return 0

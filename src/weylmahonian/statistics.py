@@ -285,20 +285,34 @@ def _flag_rows(counts: list[MultiPoly], interior: list[list[int]], lay: _Layout)
 
 
 def _unpack(rows: list[int], lay: _Layout) -> MultiPoly:
-    """The polynomial whose coefficient of t^i is packed in rows[i]."""
-    size = lay.width // 8
-    half = 1 << (lay.width - 1)
+    """The polynomial whose coefficient of t^i is packed in rows[i], read as
+    signed digits in [-2^(w-1), 2^(w-1)); OverflowError if a row needs more
+    than lay.slots digits.
+
+    Only each row's span from its lowest to its highest nonzero digit is
+    converted.  The lowest set bit of a row lies in its lowest nonzero digit.
+    If the highest nonzero digit sits at slot h, then 2^(w h) / 4 < |row| <
+    2^(w (h + 1)), so (bit length + 1) // w is h or h + 1.  The span stops at
+    the last slot of the layout, and a row that reaches past it fails to
+    convert exactly as a full-width conversion would."""
+    w, slots = lay.width, lay.slots
+    size = w // 8
+    half = 1 << (w - 1)
     zero = half.to_bytes(size, "little")  # a zero digit once half is added
-    offset = int.from_bytes(zero * lay.slots, "little")  # adds half to every digit
+    offset = int.from_bytes(zero * slots, "little")  # adds half to every digit
     terms: dict[tuple[int, int, int], int] = {}
     for et, row in enumerate(rows):
         if not row:
             continue
-        buf = (row + offset).to_bytes(size * lay.slots, "little")  # OverflowError if it does not fit
+        lo = ((row & -row).bit_length() - 1) // w
+        if lo >= slots:
+            raise OverflowError(f"row {et} has no digit inside the {slots} slots of the layout")
+        n = min((abs(row).bit_length() + 1) // w, slots - 1) - lo + 1
+        buf = ((row >> w * lo) + (offset >> w * (slots - n))).to_bytes(size * n, "little")
         for j in range(0, len(buf), size):
             digit = buf[j:j + size]
             if digit != zero:
-                es, eq = divmod(j // size, lay.q_stride)
+                es, eq = divmod(lo + j // size, lay.q_stride)
                 terms[(eq, et, es)] = int.from_bytes(digit, "little") - half
     return MultiPoly(terms)
 

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import random
 from types import MappingProxyType
 
@@ -7,8 +8,11 @@ import pytest
 from weylmahonian.algebra import (
     ExactDivisionError,
     MultiPoly,
+    ONE,
+    ZERO,
     TruncSeries,
     poly_from_json,
+    poly_json,
     poly_latex_table,
     poly_text,
     poly_to_json,
@@ -102,6 +106,32 @@ def test_json_round_trip():
     exps = [tuple(t["e"]) for t in obj["terms"]]
     assert exps == sorted(exps)
     assert poly_from_json(json.loads(json.dumps(obj))) == p
+
+
+def _assert_json_writer(p):
+    text = poly_json(p)
+    assert text == json.dumps(poly_to_json(p))
+    assert poly_from_json(json.loads(text)) == p
+
+
+def test_json_writer_equals_json_dumps():
+    for p in (ZERO, ONE, -ONE, 1 - 2 * Q**2 * T - 7 * S**3, 2**64 * Q + (2**64 + 1) * T - 10**30 * S + 3**90):
+        _assert_json_writer(p)
+    rng = random.Random(5)
+    for _ in range(50):
+        _assert_json_writer(random_poly(rng, terms=8, coeff=2**70))
+
+
+def test_json_writer_on_pinned_recursion_ranks():
+    """Every rank whose `mahonian --method recur --format json` output is pinned."""
+    from weylmahonian.statistics import mahonian_recursive
+    from weylmahonian.weylgroups import GroupFamily
+
+    pinned = json.loads(pathlib.Path(__file__).with_name("recursion_digests.json").read_text())
+    for key, digests in pinned.items():
+        family, marker = key.split()
+        for d in range(len(digests)):
+            _assert_json_writer(mahonian_recursive(GroupFamily(family, d), euler=marker == "euler"))
 
 
 def test_latex_table_layout():

@@ -117,6 +117,24 @@ def test_recursion_output_is_pinned(capsys, family, marker):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, f"{family} d={d} {marker}"
 
 
+RECURSION_FORMAT_DIGESTS = json.loads(pathlib.Path(__file__).with_name("recursion_format_digests.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["text", "latex"])
+@pytest.mark.parametrize("family", ["A", "BC", "D"])
+@pytest.mark.parametrize("marker", ["plain", "euler"])
+def test_recursion_text_and_latex_are_pinned(capsys, fmt, family, marker):
+    """SHA-256 of `mahonian --method recur --format text|latex` at d = 0, 1, ...
+    (A to 10, BC and D to 8), one digest per rank."""
+    euler = ("--euler",) if marker == "euler" else ()
+    digests = RECURSION_FORMAT_DIGESTS[f"{family} {marker} {fmt}"]
+    for d, digest in enumerate(digests):
+        code, out = invoke(capsys, "mahonian", "--family", family, "--d", str(d),
+                           "--method", "recur", "--format", fmt, *euler)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, f"{family} d={d} {marker} {fmt}"
+
+
 def test_rothe_text(capsys):
     code, out = invoke(capsys, "rothe", "--perm", "-5,3,-1,6,4,-2", "--type", "C")
     assert code == 0

@@ -260,8 +260,10 @@ def _caller_spy(monkeypatch, name):
 
 def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
     """Flags the package walks itself are not validated again: the tally,
-    the buckets and the series make no validate_flag call."""
+    the buckets, the series and the standard_weight_flags check make no
+    validate_flag call."""
     import weylmahonian.flaggeom as fg
+    from weylmahonian.checks import standard_weight_flags
 
     callers = _caller_spy(monkeypatch, "validate_flag")
     sp = linear_space(2, 3)
@@ -269,6 +271,8 @@ def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
         fg._complete_flag_tally.__wrapped__(space)
         flag_series(space, 6)
     flags_by_canonical_basis(sp)
+    for kind, p, d in (("A", 2, 3), ("C", 3, 2), ("B", 3, 2), ("D", 3, 2)):
+        assert standard_weight_flags(kind, p, d).passed
     assert callers == []
     chains = list(enumerate_flags(sp))
     for chain in chains:

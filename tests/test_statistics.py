@@ -1,10 +1,15 @@
+import random
+
 import pytest
 
+from weylmahonian import statistics
 from weylmahonian.algebra import MultiPoly
 from weylmahonian.statistics import (
     DIRECT_MAX_STATES,
+    _Layout,
     _direct_states,
     _layout,
+    _unpack,
     closed_form,
     even_isotropic_count,
     hyperbolic_isotropic_count,
@@ -264,6 +269,85 @@ def test_recursion_guard_rejects_before_any_arithmetic():
             mahonian_recursive(fam, euler=euler)
         assert q_binomial.cache_info().currsize == 0
     assert _layout(GroupFamily("BC", 16), True)  # admitted
+
+
+def _unpack_every_slot(rows, lay):
+    """The reference for _unpack: convert every slot of every row."""
+    size = lay.width // 8
+    half = 1 << (lay.width - 1)
+    zero = half.to_bytes(size, "little")
+    offset = int.from_bytes(zero * lay.slots, "little")
+    terms = {}
+    for et, row in enumerate(rows):
+        if not row:
+            continue
+        buf = (row + offset).to_bytes(size * lay.slots, "little")
+        for j in range(0, len(buf), size):
+            digit = buf[j:j + size]
+            if digit != zero:
+                es, eq = divmod(j // size, lay.q_stride)
+                terms[(eq, et, es)] = int.from_bytes(digit, "little") - half
+    return MultiPoly(terms)
+
+
+def _row(digits, width):
+    return sum(c << (width * i) for i, c in enumerate(digits))
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_unpack_matches_every_slot_on_hand_built_rows(width):
+    lay = _Layout(q_stride=4, slots=12, width=width, x_shift=0)
+    half, top = 1 << (width - 1), lay.slots - 1
+    cases = [
+        [0, -3, 5],  # lowest nonzero digit negative
+        [0, 2, 0, -7],  # highest nonzero digit negative
+        [1] + [0] * (top - 1) + [-1],  # digits at slot 0 and slot slots - 1
+        [-1] + [0] * (top - 1) + [1],
+        [half - 1] + [0] * (top - 1) + [half - 1],  # the largest digits, at both ends
+        [-half] * lay.slots,  # the most negative digit, everywhere
+        [half - 1] * lay.slots,
+        [0] * top + [-half + 1],
+        [0] * 5 + [1, -(half - 1)],  # the span's top digit cancels most of the next
+        [0, -half, -half, 1],  # a top digit 1 over most-negative digits: the row is below 2^(w h - 1)
+        [],  # an all-zero row
+    ]
+    rng = random.Random(width)
+    for _ in range(200):
+        lo = rng.randrange(lay.slots)
+        hi = rng.randrange(lo, lay.slots)
+        cases.append([0] * lo + [rng.randrange(-half, half) for _ in range(hi - lo + 1)])
+    rows = [_row(digits, width) for digits in cases]
+    assert _unpack(rows, lay) == _unpack_every_slot(rows, lay)
+    assert _unpack([0, 0], lay) == MultiPoly()
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_unpack_rejects_rows_wider_than_the_layout(width):
+    lay = _Layout(q_stride=4, slots=12, width=width, x_shift=0)
+    half = 1 << (width - 1)
+    for digits in ([1] * (lay.slots + 1), [0] * lay.slots + [-1], [0] * (lay.slots + 3) + [5],
+                   [0] * (lay.slots - 1) + [half]):  # a top digit of 2^(w-1) carries into slot `slots`
+        row = _row(digits, width)
+        for unpack in (_unpack_every_slot, _unpack):
+            with pytest.raises(OverflowError):
+                unpack([row], lay)
+
+
+@pytest.mark.parametrize("tag", ["A", "BC", "D"])
+@pytest.mark.parametrize("euler", [False, True])
+def test_unpack_matches_every_slot_on_recursion_rows(monkeypatch, tag, euler):
+    """The rows the recursion unpacks at every rank up to 8."""
+    seen = []
+
+    def spy(rows, lay):
+        seen.append((rows, lay))
+        return _unpack(rows, lay)
+
+    monkeypatch.setattr(statistics, "_unpack", spy)
+    for d in range(9):
+        poly = mahonian_recursive(GroupFamily(tag, d), euler=euler)
+        rows, lay = seen.pop()
+        assert poly == _unpack_every_slot(rows, lay)
 
 
 @pytest.mark.parametrize("tag, ranks", [("A", (15, 16)), ("BC", (13, 14)), ("D", (13, 14))])
