@@ -155,6 +155,26 @@ def test_verify_single_check(capsys):
     assert out.strip().splitlines()[-1].endswith("0 failed")
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--all",), "76dff4e283ef1d2fc8fa94a3cc52f89f82fa3850b115eed5d92f3829072b86b0"),
+        (("--all", "--json"), "9c14cd7996f6fed90cbf8c89f98e32cfce7128fcf38ce458ba31386118d150a7"),
+        (
+            ("--all", "--max-d", "2", "--primes", "3", "--trunc", "6", "--json"),
+            "4e0bd2bc097ea5900e9c7441f1d8f00413a1c0452d50831e48c8f5ffb05c3eb5",
+        ),
+        (("--list",), "49173c090f61701e961a25078c8f8c914eeb13ae1e256d8c8d895c7b2508639b"),
+    ],
+)
+def test_verify_output_is_pinned(capsys, argv, digest):
+    """SHA-256 of the verify stdout: every report's text or JSON line, and the
+    check list."""
+    code, out = invoke(capsys, "verify", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_json(capsys):
     code, out = invoke(
         capsys, "verify", "--check", "symmetry_qt_a", "--max-d", "2", "--json"
