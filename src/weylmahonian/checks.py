@@ -1,10 +1,12 @@
 """Named identity checks: every verifiable statement gets a stable name.
 
 Each check computes its two sides independently and returns a CheckReport
-with the exact values and the first discrepancy on failure.  The registry
-maps check names to (function, default parameter grid); the CLI ``verify``
-command runs grids from here, and the acceptance suite calls the functions
-directly with its own grids.
+with the exact values and the first discrepancy on failure.  A check is
+declared once: the ``@_check`` decorator above its definition gives its
+default parameter grid and registers it under its function name.  The
+registry maps check names to (function, default parameter grid); the CLI
+``verify`` command runs grids from here, and the acceptance suite calls the
+functions directly with its own grids.
 
 The single non-gating check is d_euler_direct_vs_recursive: whether the
 descent statistic used for the s-marking makes the direct type-D sum match
@@ -14,12 +16,13 @@ the type-D recursion is deliberately reported rather than assumed.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import wraps
 from itertools import product
 from math import comb
 from typing import Callable, Iterable, Iterator
 
-from .algebra import MultiPoly, TruncSeries, poly_text
+from .algebra import MultiPoly, TruncSeries
 from . import flaggeom, statistics
 from .rothe import rothe_diagram
 from .weylgroups import (
@@ -49,15 +52,7 @@ class CheckReport:
     gating: bool = True
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "params": self.params,
-            "passed": self.passed,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "discrepancy": self.discrepancy,
-            "gating": self.gating,
-        }
+        return asdict(self)
 
     def label(self) -> str:
         inner = " ".join(f"{k}={v}" for k, v in self.params.items())
@@ -80,413 +75,29 @@ def _series_discrepancy(a: TruncSeries, b: TruncSeries) -> str | None:
     return None
 
 
-def _poly_report(name: str, params: dict, lhs: MultiPoly, rhs: MultiPoly, gating=True) -> CheckReport:
-    disc = _poly_discrepancy(lhs, rhs)
-    return CheckReport(name, params, disc is None, poly_text(lhs), poly_text(rhs), disc, gating)
+# A check's verdict: (passed, lhs, rhs, discrepancy or None).
+Verdict = tuple[bool, str, str, str | None]
 
 
-def _series_report(name: str, params: dict, lhs: TruncSeries, rhs: TruncSeries) -> CheckReport:
-    disc = _series_discrepancy(lhs, rhs)
-    return CheckReport(name, params, disc is None, str(lhs), str(rhs), disc)
+def _verdict(lhs: MultiPoly | TruncSeries, rhs: MultiPoly | TruncSeries) -> Verdict:
+    """Exact comparison of two polynomials or two truncated series."""
+    discrepancy = _series_discrepancy if isinstance(lhs, TruncSeries) else _poly_discrepancy
+    disc = discrepancy(lhs, rhs)
+    return disc is None, str(lhs), str(rhs), disc
 
 
-def _scan(name: str, params: dict, cases: Iterable, test: Callable, extra: str | None = None) -> CheckReport:
+def _scan(cases: Iterable, test: Callable, extra: str | None = None) -> Verdict:
     """Run test on every case; test returns a failure message or None.  extra
     is a failure found outside the cases, reported after theirs."""
     results = [test(case) for case in cases]
     failures = [r for r in results if r] + ([extra] if extra else [])
     total = len(results)
-    return CheckReport(
-        name,
-        params,
+    return (
         not failures,
         f"{total - len(failures)} of {total} cases agree",
         f"{total} cases expected",
         failures[0] if failures else None,
     )
-
-
-# -- polynomial identities ----------------------------------------------------
-
-
-def direct_vs_recursive(family: str, d: int, euler: bool = False) -> CheckReport:
-    fam = GroupFamily(family, d)
-    lhs = statistics.mahonian_direct(fam, euler=euler)
-    rhs = statistics.mahonian_recursive(fam, euler=euler)
-    return _poly_report("direct_vs_recursive", {"family": family, "d": d, "euler": euler}, lhs, rhs)
-
-
-def d_euler_direct_vs_recursive(d: int) -> CheckReport:
-    fam = GroupFamily("D", d)
-    lhs = statistics.mahonian_direct(fam, euler=True)
-    rhs = statistics.mahonian_recursive(fam, euler=True)
-    return _poly_report("d_euler_direct_vs_recursive", {"d": d}, lhs, rhs, gating=False)
-
-
-def symmetry_qt_a(d: int) -> CheckReport:
-    m = statistics.mahonian_recursive(GroupFamily("A", d))
-    return _poly_report("symmetry_qt_a", {"d": d}, m, m.specialize(q="t", t="q"))
-
-
-def low_degree_agreement(d: int) -> CheckReport:
-    ma = statistics.mahonian_recursive(GroupFamily("A", d))
-    mbc = statistics.mahonian_recursive(GroupFamily("BC", d))
-    cut = lambda p: MultiPoly({e: c for e, c in p.terms.items() if e[0] + e[1] <= d})
-    return _poly_report("low_degree_agreement", {"d": d}, cut(ma), cut(mbc))
-
-
-def _closed_form_check(name: str, family: str, var: str, form: str) -> Callable[[int], CheckReport]:
-    """The check that the direct polynomial of the family at var = 1 equals
-    the named closed form."""
-
-    def check(d: int) -> CheckReport:
-        lhs = statistics.mahonian_direct(GroupFamily(family, d)).specialize(**{var: 1})
-        return _poly_report(name, {"d": d}, lhs, statistics.closed_form(form, d))
-
-    check.__name__ = check.__qualname__ = name
-    return check
-
-
-a_major_equidistribution = _closed_form_check("a_major_equidistribution", "A", "q", "a_wmaj")
-a_length_factorization = _closed_form_check("a_length_factorization", "A", "t", "a_length")
-bc_length_factorization = _closed_form_check("bc_length_factorization", "BC", "t", "bc_length")
-bc_major_factorization = _closed_form_check("bc_major_factorization", "BC", "q", "bc_wmaj")
-d_length_factorization = _closed_form_check("d_length_factorization", "D", "t", "d_length")
-d_wmaj_factorization = _closed_form_check("d_wmaj_factorization", "D", "q", "d_wmaj")
-
-
-def bc_reciprocal_symmetry(d: int) -> CheckReport:
-    m = statistics.mahonian_direct(GroupFamily("BC", d))
-    conj = m.reciprocal_conjugate(d * d, comb(d + 1, 2))
-    return _poly_report("bc_reciprocal_symmetry", {"d": d}, conj, m)
-
-
-def bc_restriction_to_unsigned(d: int) -> CheckReport:
-    fam = GroupFamily("BC", d)
-    terms: dict[tuple[int, int, int], int] = {}
-    for perm in enumerate_group(fam):
-        if all(x > 0 for x in perm):
-            key = (length(perm, fam), wmaj(perm), 0)
-            terms[key] = terms.get(key, 0) + 1
-    lhs = MultiPoly(terms)
-    rhs = statistics.mahonian_direct(GroupFamily("A", d))
-    return _poly_report("bc_restriction_to_unsigned", {"d": d}, lhs, rhs)
-
-
-def qbinomial_theorem(d: int, a: int) -> CheckReport:
-    lhs, rhs = statistics.qbinomial_theorem_sides(d, a)
-    return _poly_report("qbinomial_theorem", {"d": d, "a": a}, lhs, rhs)
-
-
-def qbinomial_recursion_vs_product(d: int) -> CheckReport:
-    def test(k):
-        if statistics.q_binomial(d, k) != statistics.q_binomial_product(d, k):
-            return f"k={k}"
-
-    return _scan("qbinomial_recursion_vs_product", {"d": d}, range(d + 1), test)
-
-
-def qbinomial_special_case(d: int) -> CheckReport:
-    """sum_j C(d,j)_q q^C(j,2) = prod_{j<d} (1+q^j): the a=0, t=1 case of the
-    q-binomial theorem."""
-    lhs, rhs = statistics.qbinomial_theorem_sides(d, 0)
-    return _poly_report(
-        "qbinomial_special_case", {"d": d}, lhs.specialize(t=1), rhs.specialize(t=1)
-    )
-
-
-def euler_specialize_s1(family: str, d: int) -> CheckReport:
-    fam = GroupFamily(family, d)
-    lhs = statistics.mahonian_recursive(fam, euler=True).specialize(s=1)
-    rhs = statistics.mahonian_recursive(fam)
-    return _poly_report("euler_specialize_s1", {"family": family, "d": d}, lhs, rhs)
-
-
-# -- group scans ----------------------------------------------------------------
-
-
-def central_element_identities(d: int) -> CheckReport:
-    fam = GroupFamily("BC", d)
-    c = central_element(d)
-
-    def test(perm):
-        other = compose(c, perm)
-        if length(perm, fam) + length(other, fam) != d * d:
-            return f"length identity fails at {perm}"
-        if wmaj(perm) + wmaj(other) != comb(d + 1, 2):
-            return f"wmaj identity fails at {perm}"
-
-    return _scan("central_element_identities", {"d": d}, enumerate_group(fam), test)
-
-
-def bc_vs_d_length_difference(d: int) -> CheckReport:
-    fam_d = GroupFamily("D", d)
-    fam_bc = GroupFamily("BC", d)
-
-    def test(perm):
-        if length(perm, fam_bc) - length(perm, fam_d) != negative_count(perm):
-            return f"difference wrong at {perm}"
-
-    return _scan("bc_vs_d_length_difference", {"d": d}, enumerate_group(fam_d), test)
-
-
-def generator_length_step(family: str, d: int) -> CheckReport:
-    fam = GroupFamily(family, d)
-    gens = fam.generators()
-
-    def test(case):
-        perm, g = case
-        if abs(length(compose(perm, g), fam) - length(perm, fam)) != 1:
-            return f"step not +-1 at {perm}"
-
-    cases = ((perm, g) for perm in enumerate_group(fam) for g in gens)
-    return _scan("generator_length_step", {"family": family, "d": d}, cases, test)
-
-
-def length_vs_bfs(family: str, d: int) -> CheckReport:
-    fam = GroupFamily(family, d)
-
-    def test(perm):
-        if length(perm, fam) != coxeter_word_length(perm, fam):
-            return f"closed form != BFS at {perm}"
-
-    return _scan("length_vs_bfs", {"family": family, "d": d}, enumerate_group(fam), test)
-
-
-def greedy_word_valid(family: str, d: int) -> CheckReport:
-    fam = GroupFamily(family, d)
-
-    def test(perm):
-        word = greedy_reduced_word(perm, fam)
-        if len(word) != length(perm, fam) or word_to_perm(word, fam) != perm:
-            return f"bad word at {perm}"
-
-    return _scan("greedy_word_valid", {"family": family, "d": d}, enumerate_group(fam), test)
-
-
-def standard_weight_identity(family: str, d: int) -> CheckReport:
-    fam = GroupFamily(family, d)
-
-    def test(perm):
-        _, weight = flaggeom.standard_flag(perm, fam)
-        if weight != wmaj(perm):
-            return f"standard weight != wmaj at {perm}"
-
-    return _scan("standard_weight_identity", {"family": family, "d": d}, enumerate_group(fam), test)
-
-
-def descent_statistic_matches_coxeter(family: str, d: int) -> CheckReport:
-    """For types A and BC the descent statistic counts generators that shorten
-    the element (not asserted for type D, where it differs)."""
-    fam = GroupFamily(family, d)
-    gens = fam.generators()
-
-    def test(perm):
-        l0 = length(perm, fam)
-        cox = sum(1 for g in gens if length(compose(perm, g), fam) < l0)
-        if cox != descent_count(perm):
-            return f"descent count mismatch at {perm}: {descent_count(perm)} vs {cox}"
-
-    return _scan(
-        "descent_statistic_matches_coxeter", {"family": family, "d": d}, enumerate_group(fam), test
-    )
-
-
-# -- geometric oracle ------------------------------------------------------------
-
-
-def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = False) -> CheckReport:
-    """Flag-series oracle against the group-statistics side.
-
-    Types A, C, D compare the enumerated series with mahonian * product of
-    geometric factors at q=p; type B compares with the type-C series.
-    """
-    params = {"kind": kind, "p": p, "d": d, "trunc": trunc, "alpha": alpha}
-    space = flaggeom.space_for_family(kind, p, d)
-    lhs = flaggeom.flag_series(space, trunc, with_alpha=alpha)
-    if kind == "B":
-        rhs = flaggeom.flag_series(flaggeom.symplectic_space(p, d), trunc, with_alpha=alpha)
-    else:
-        m = statistics.mahonian_recursive(space.family, euler=alpha).specialize(q=p)
-        rhs = TruncSeries.from_poly(m, trunc)
-        for j in range(1, d + 1):
-            rhs = rhs * TruncSeries.geometric_factor(j, alpha, trunc)
-    return _series_report("flag_series_theorem", params, lhs, rhs)
-
-
-def _subspace_count_scan(name: str, params: dict, space: flaggeom.FqSpace, count: Callable) -> CheckReport:
-    """Enumerated k-subspaces of the space against count(d, k) at q=p, k = 0..d."""
-
-    def test(k):
-        got = sum(1 for _ in flaggeom.enumerate_subspaces(space, k))
-        want = count(space.d, k).evaluate(q=space.p)
-        return f"k={k}: {got} vs {want}" if got != want else None
-
-    return _scan(name, params, range(space.d + 1), test)
-
-
-def subspace_count_grassmann(p: int, d: int) -> CheckReport:
-    space = flaggeom.linear_space(p, d)
-    return _subspace_count_scan("subspace_count_grassmann", {"p": p, "d": d}, space, statistics.q_binomial)
-
-
-def subspace_count_isotropic(kind: str, p: int, d: int) -> CheckReport:
-    """Isotropic counts in symplectic (kind C) and odd quadratic (kind B)
-    spaces against the shared closed formula."""
-    space = flaggeom.space_for_family(kind, p, d)
-    count = statistics.symplectic_isotropic_count
-    return _subspace_count_scan("subspace_count_isotropic", {"kind": kind, "p": p, "d": d}, space, count)
-
-
-def subspace_count_hyperbolic(p: int, d: int) -> CheckReport:
-    """Isotropic counts in the hyperbolic space, broken down by the
-    metabolizer excess l."""
-    space = flaggeom.hyperbolic_space(p, d)
-
-    def cases():
-        for k in range(d + 1):
-            tally = Counter(
-                flaggeom.metabolizer_excess(space, rows)
-                for rows in flaggeom.enumerate_subspaces(space, k)
-            )
-            for l in range(k + 1):
-                yield k, l, tally[l]
-
-    def test(case):
-        k, l, got = case
-        want = statistics.hyperbolic_isotropic_count(d, k, l).evaluate(q=p)
-        return f"k={k} l={l}: {got} vs {want}" if got != want else None
-
-    return _scan("subspace_count_hyperbolic", {"p": p, "d": d}, cases(), test)
-
-
-def canonical_cell_counts(kind: str, p: int, d: int) -> CheckReport:
-    """Canonical bases with a given length-permutation number p^length.
-
-    For the hyperbolic space the complete flags of both parity classes are
-    tallied, against the type-D length formula extended to all signed
-    permutations."""
-    space = flaggeom.space_for_family(kind, p, d)
-    fam = GroupFamily("BC", d) if kind == "D" else space.family
-
-    counts = {perm: flaggeom.count_canonical_bases(space, perm) for perm in enumerate_group(fam)}
-
-    def test(case):
-        perm, got = case
-        if kind == "D":
-            want = p ** (inversions(perm) + sum(d + x for x in perm if x < 0))
-        else:
-            want = p ** length(perm, fam)
-        return f"{perm}: {got} vs {want}" if got != want else None
-
-    outside = sum(counts.values()) != sum(flaggeom._complete_flag_tally(space).values())
-    extra = "tally contains permutations outside the family" if outside else None
-    return _scan("canonical_cell_counts", {"kind": kind, "p": p, "d": d}, counts.items(), test, extra)
-
-
-def standard_flag_generating_function(kind: str, p: int, d: int) -> CheckReport:
-    """Sum of count_canonical_bases * t^standard_weight over the family equals
-    the Mahonian polynomial at q=p."""
-    space = flaggeom.space_for_family(kind, p, d)
-    fam = space.family
-    lhs = MultiPoly.zero()
-    for perm in enumerate_group(fam):
-        _, weight = flaggeom.standard_flag(perm, fam)
-        lhs = lhs + MultiPoly.monomial(flaggeom.count_canonical_bases(space, perm), et=weight)
-    rhs = statistics.mahonian_direct(fam).specialize(q=p)
-    return _poly_report("standard_flag_generating_function", {"kind": kind, "p": p, "d": d}, lhs, rhs)
-
-
-def standard_weight_flags(kind: str, p: int, d: int) -> CheckReport:
-    """For every enumerated flag: the canonical basis reproduces the flag by
-    prefix spans, and the standard weight of its standard flag equals the
-    (Weyl-)Major index of the length-permutation."""
-    space = flaggeom.space_for_family(kind, p, d)
-    fam = space.family
-
-    def test(chain):  # the walk's flags are valid: extract without validate_flag
-        basis, perm = flaggeom._extract(space, chain)
-        if any(flaggeom.rref(basis[: len(member)], p) != member for member in chain):
-            return f"prefix spans do not reproduce {chain}"
-        _, weight = flaggeom.standard_flag(perm, fam)
-        if weight != wmaj(perm):
-            return f"standard weight != wmaj for {chain} (perm {perm})"
-        if kind == "D" and negative_count(perm) % 2:
-            return f"even flag {chain} extracted an odd permutation {perm}"
-
-    return _scan("standard_weight_flags", {"kind": kind, "p": p, "d": d}, flaggeom.enumerate_flags(space), test)
-
-
-def standard_fiber_series(p: int, d: int, trunc: int) -> CheckReport:
-    """Weighted flags sharing a canonical basis sum to t^w_st * prod 1/(1-t^j)."""
-    space = flaggeom.linear_space(p, d)
-
-    def test(bucket):
-        (basis, perm), chains = bucket
-        got = flaggeom.weighted_flag_sum(chains, d, trunc)
-        _, weight = flaggeom.standard_flag(perm, space.family)
-        want = TruncSeries.from_poly(MultiPoly.monomial(1, et=weight), trunc)
-        for j in range(1, d + 1):
-            want = want * TruncSeries.geometric_factor(j, False, trunc)
-        return f"fiber series mismatch for basis {basis}" if got != want else None
-
-    buckets = flaggeom.flags_by_canonical_basis(space)
-    return _scan("standard_fiber_series", {"p": p, "d": d, "trunc": trunc}, buckets.items(), test)
-
-
-def refinement_counts(p: int, d: int) -> CheckReport:
-    """Bucket all flags of F_p^d by canonical basis; bucket sizes must be
-    2^(d-k) with k the descent count of the basis' length-permutation."""
-    space = flaggeom.linear_space(p, d)
-
-    def test(bucket):
-        (basis, perm), chains = bucket
-        want = flaggeom.refinement_count(perm, space.family)
-        return f"basis {basis}: {len(chains)} flags vs {want}" if len(chains) != want else None
-
-    buckets = flaggeom.flags_by_canonical_basis(space)
-    return _scan("refinement_counts", {"p": p, "d": d}, buckets.items(), test)
-
-
-def rothe_tallies(kind: str, d: int) -> CheckReport:
-    """Cross count = inversions, tensors per tag = the sign part summands, for
-    every element of the matching group."""
-    signed = kind in ("C", "B")
-    fam = GroupFamily("BC" if signed else kind, d)
-    base = d + 1 if signed else d
-
-    def test(perm):
-        diag = rothe_diagram(perm, kind)
-        if diag.cross_count() != inversions(perm):
-            return f"cross count wrong at {perm}"
-        want_tags = {i: base + x for i, x in enumerate(perm, start=1) if x < 0 and base + x}
-        if kind != "A" and diag.tensor_counts() != want_tags:
-            return f"tensor tags wrong at {perm}: {diag.tensor_counts()} vs {want_tags}"
-
-    return _scan("rothe_tallies", {"kind": kind, "d": d}, enumerate_group(fam), test)
-
-
-# (kind, permutation, crosses, tensor tallies or None when not asserted)
-_ROTHE_EXAMPLES = (
-    ("A", (6, 3, 8, 1, 4, 9, 7, 2, 5), 18, None),
-    ("C", (-5, 3, -1, 6, 4, -2), 7, {1: 2, 3: 6, 6: 5}),
-    ("D", (-5, 3, -1, -6, 4, -2), 7, {1: 1, 3: 5, 6: 4}),
-)
-
-
-def rothe_worked_examples() -> CheckReport:
-    """The two printed diagrams: 18 crosses for the type A example, 7 crosses
-    with tensor tallies 2/6/5 for the type C example; the type D example has
-    tallies d + sigma(m)."""
-
-    def test(example):
-        kind, perm, crosses, tags = example
-        diag = rothe_diagram(perm, kind)
-        if diag.cross_count() != crosses or (tags is not None and diag.tensor_counts() != tags):
-            tail = "" if tags is None else f", {diag.tensor_counts()}"
-            return f"type {kind} example: {diag.cross_count()} crosses{tail}"
-
-    return _scan("rothe_worked_examples", {}, _ROTHE_EXAMPLES, test)
 
 
 # -- registry ---------------------------------------------------------------------
@@ -512,133 +123,29 @@ def _points(*points: dict, **axes) -> Callable[..., list[dict]]:
     return build
 
 
-REGISTRY: dict[str, tuple[Callable[..., CheckReport], Callable[..., list[dict]]]] = {
-    "direct_vs_recursive": (
-        direct_vs_recursive,
-        _points(
-            *[{"family": "A", "d": d, "euler": e} for d in range(8) for e in (False, True)],
-            *[{"family": "BC", "d": d, "euler": e} for d in range(6) for e in (False, True)],
-            *[{"family": "D", "d": d, "euler": False} for d in range(6)],
-        ),
-    ),
-    "d_euler_direct_vs_recursive": (
-        d_euler_direct_vs_recursive,
-        _points(d=[0, 1, 2, 3, 4]),
-    ),
-    "symmetry_qt_a": (symmetry_qt_a, _points(d=list(range(8)))),
-    "low_degree_agreement": (low_degree_agreement, _points(d=[1, 2, 3, 4, 5])),
-    "a_major_equidistribution": (a_major_equidistribution, _points(d=list(range(1, 8)))),
-    "a_length_factorization": (a_length_factorization, _points(d=list(range(1, 8)))),
-    "bc_length_factorization": (bc_length_factorization, _points(d=[1, 2, 3, 4, 5])),
-    "bc_major_factorization": (bc_major_factorization, _points(d=[1, 2, 3, 4, 5])),
-    "d_length_factorization": (d_length_factorization, _points(d=[1, 2, 3, 4, 5])),
-    "d_wmaj_factorization": (d_wmaj_factorization, _points(d=[1, 2, 3, 4, 5, 6])),
-    "bc_reciprocal_symmetry": (bc_reciprocal_symmetry, _points(d=[1, 2, 3, 4, 5])),
-    "bc_restriction_to_unsigned": (bc_restriction_to_unsigned, _points(d=[1, 2, 3, 4, 5])),
-    "qbinomial_theorem": (qbinomial_theorem, _points(d=list(range(9)), a=[0, 1, 2, 3, 4])),
-    "qbinomial_recursion_vs_product": (qbinomial_recursion_vs_product, _points(d=list(range(9)))),
-    "qbinomial_special_case": (qbinomial_special_case, _points(d=list(range(9)))),
-    "euler_specialize_s1": (
-        euler_specialize_s1,
-        _points(family=["A", "BC", "D"], d=[0, 1, 2, 3, 4, 5]),
-    ),
-    "central_element_identities": (central_element_identities, _points(d=[1, 2, 3, 4, 5])),
-    "bc_vs_d_length_difference": (bc_vs_d_length_difference, _points(d=[1, 2, 3, 4, 5])),
-    "generator_length_step": (
-        generator_length_step,
-        _points(family=["A", "BC", "D"], d=[1, 2, 3, 4]),
-    ),
-    "length_vs_bfs": (
-        length_vs_bfs,
-        _points(
-            *[{"family": "A", "d": d} for d in range(1, 7)],
-            *[{"family": "BC", "d": d} for d in range(1, 6)],
-            *[{"family": "D", "d": d} for d in range(1, 6)],
-        ),
-    ),
-    "greedy_word_valid": (greedy_word_valid, _points(family=["A", "BC", "D"], d=[1, 2, 3, 4])),
-    "standard_weight_identity": (
-        standard_weight_identity,
-        _points(family=["A", "BC", "D"], d=[1, 2, 3, 4, 5]),
-    ),
-    "descent_statistic_matches_coxeter": (
-        descent_statistic_matches_coxeter,
-        _points(family=["A", "BC"], d=[1, 2, 3, 4]),
-    ),
-    "flag_series_theorem": (
-        flag_series_theorem,
-        _points(
-            *[
-                {"kind": "A", "p": p, "d": d, "trunc": 12, "alpha": a}
-                for p in (2, 3)
-                for d in (1, 2, 3)
-                for a in (False, True)
-            ],
-            *[
-                {"kind": k, "p": p, "d": d, "trunc": 12, "alpha": a}
-                for k in ("C", "B", "D")
-                for p in (3, 5)
-                for d in (1, 2)
-                for a in (False, True)
-            ],
-        ),
-    ),
-    "subspace_count_grassmann": (
-        subspace_count_grassmann,
-        _points(p=[2, 3], d=[1, 2, 3, 4]),
-    ),
-    "subspace_count_isotropic": (
-        subspace_count_isotropic,
-        _points(
-            *[{"kind": "C", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
-            *[{"kind": "B", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
-        ),
-    ),
-    "subspace_count_hyperbolic": (
-        subspace_count_hyperbolic,
-        _points(p=[3, 5], d=[1, 2]),
-    ),
-    "canonical_cell_counts": (
-        canonical_cell_counts,
-        _points(
-            *[{"kind": "A", "p": p, "d": d} for p in (2, 3) for d in (1, 2, 3)],
-            *[{"kind": k, "p": 3, "d": d} for k in ("C", "B", "D") for d in (1, 2)],
-        ),
-    ),
-    "standard_flag_generating_function": (
-        standard_flag_generating_function,
-        _points(
-            *[{"kind": "A", "p": p, "d": d} for p in (2, 3) for d in (1, 2, 3)],
-            {"kind": "C", "p": 3, "d": 2},
-        ),
-    ),
-    "standard_weight_flags": (
-        standard_weight_flags,
-        _points(
-            *[{"kind": "A", "p": 3, "d": d} for d in (1, 2, 3)],
-            {"kind": "C", "p": 3, "d": 2},
-            {"kind": "B", "p": 3, "d": 2},
-            {"kind": "D", "p": 3, "d": 2},
-        ),
-    ),
-    "standard_fiber_series": (
-        standard_fiber_series,
-        _points(
-            {"p": 2, "d": 2, "trunc": 12},
-            {"p": 2, "d": 3, "trunc": 12},
-            {"p": 3, "d": 2, "trunc": 12},
-        ),
-    ),
-    "refinement_counts": (refinement_counts, _points(p=[2], d=[1, 2, 3])),
-    "rothe_tallies": (
-        rothe_tallies,
-        _points(
-            *[{"kind": "A", "d": d} for d in (1, 2, 3, 4)],
-            *[{"kind": k, "d": d} for k in ("C", "B", "D") for d in (1, 2, 3, 4)],
-        ),
-    ),
-    "rothe_worked_examples": (rothe_worked_examples, _points({})),
-}
+REGISTRY: dict[str, tuple[Callable[..., CheckReport], Callable[..., list[dict]]]] = {}
+
+
+def _check(grid: Callable[..., list[dict]], gating: bool = True) -> Callable:
+    """Register the decorated check in REGISTRY under its name, with its
+    default grid.  The check returns a Verdict; the call's arguments, in
+    signature order and with defaults filled in, become the report's params."""
+
+    def register(fn: Callable[..., Verdict]) -> Callable[..., CheckReport]:
+        names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
+        defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
+
+        @wraps(fn)
+        def check(*args, **kwargs) -> CheckReport:
+            verdict = fn(*args, **kwargs)
+            given = dict(zip(names, args), **kwargs)
+            params = {n: given[n] if n in given else defaults[n] for n in names}
+            return CheckReport(fn.__name__, params, *verdict, gating)
+
+        REGISTRY[fn.__name__] = (check, grid)
+        return check
+
+    return register
 
 
 def _entry(name: str) -> tuple[Callable[..., CheckReport], Callable[..., list[dict]]]:
@@ -664,3 +171,450 @@ def run_all(
     for name in names if names is not None else REGISTRY:
         for params in default_grid(name, max_d, primes, trunc):
             yield run_identity_check(name, params)
+
+
+# -- polynomial identities ----------------------------------------------------
+
+
+@_check(_points(
+    *[{"family": "A", "d": d, "euler": e} for d in range(8) for e in (False, True)],
+    *[{"family": "BC", "d": d, "euler": e} for d in range(6) for e in (False, True)],
+    *[{"family": "D", "d": d, "euler": False} for d in range(6)],
+))
+def direct_vs_recursive(family: str, d: int, euler: bool = False) -> Verdict:
+    fam = GroupFamily(family, d)
+    lhs = statistics.mahonian_direct(fam, euler=euler)
+    rhs = statistics.mahonian_recursive(fam, euler=euler)
+    return _verdict(lhs, rhs)
+
+
+@_check(_points(d=[0, 1, 2, 3, 4]), gating=False)
+def d_euler_direct_vs_recursive(d: int) -> Verdict:
+    fam = GroupFamily("D", d)
+    lhs = statistics.mahonian_direct(fam, euler=True)
+    rhs = statistics.mahonian_recursive(fam, euler=True)
+    return _verdict(lhs, rhs)
+
+
+@_check(_points(d=list(range(8))))
+def symmetry_qt_a(d: int) -> Verdict:
+    m = statistics.mahonian_recursive(GroupFamily("A", d))
+    return _verdict(m, m.specialize(q="t", t="q"))
+
+
+@_check(_points(d=[1, 2, 3, 4, 5]))
+def low_degree_agreement(d: int) -> Verdict:
+    ma = statistics.mahonian_recursive(GroupFamily("A", d))
+    mbc = statistics.mahonian_recursive(GroupFamily("BC", d))
+    cut = lambda p: MultiPoly({e: c for e, c in p.terms.items() if e[0] + e[1] <= d})
+    return _verdict(cut(ma), cut(mbc))
+
+
+def _closed_form_check(name: str, family: str, var: str, form: str, max_d: int) -> Callable[[int], CheckReport]:
+    """The check that the direct polynomial of the family at var = 1 equals
+    the named closed form, over d = 1..max_d."""
+
+    def check(d: int) -> Verdict:
+        lhs = statistics.mahonian_direct(GroupFamily(family, d)).specialize(**{var: 1})
+        return _verdict(lhs, statistics.closed_form(form, d))
+
+    check.__name__ = check.__qualname__ = name
+    return _check(_points(d=list(range(1, max_d + 1))))(check)
+
+
+a_major_equidistribution = _closed_form_check("a_major_equidistribution", "A", "q", "a_wmaj", 7)
+a_length_factorization = _closed_form_check("a_length_factorization", "A", "t", "a_length", 7)
+bc_length_factorization = _closed_form_check("bc_length_factorization", "BC", "t", "bc_length", 5)
+bc_major_factorization = _closed_form_check("bc_major_factorization", "BC", "q", "bc_wmaj", 5)
+d_length_factorization = _closed_form_check("d_length_factorization", "D", "t", "d_length", 5)
+d_wmaj_factorization = _closed_form_check("d_wmaj_factorization", "D", "q", "d_wmaj", 6)
+
+
+@_check(_points(d=[1, 2, 3, 4, 5]))
+def bc_reciprocal_symmetry(d: int) -> Verdict:
+    m = statistics.mahonian_direct(GroupFamily("BC", d))
+    conj = m.reciprocal_conjugate(d * d, comb(d + 1, 2))
+    return _verdict(conj, m)
+
+
+@_check(_points(d=[1, 2, 3, 4, 5]))
+def bc_restriction_to_unsigned(d: int) -> Verdict:
+    fam = GroupFamily("BC", d)
+    terms: dict[tuple[int, int, int], int] = {}
+    for perm in enumerate_group(fam):
+        if all(x > 0 for x in perm):
+            key = (length(perm, fam), wmaj(perm), 0)
+            terms[key] = terms.get(key, 0) + 1
+    lhs = MultiPoly(terms)
+    rhs = statistics.mahonian_direct(GroupFamily("A", d))
+    return _verdict(lhs, rhs)
+
+
+@_check(_points(d=list(range(9)), a=[0, 1, 2, 3, 4]))
+def qbinomial_theorem(d: int, a: int) -> Verdict:
+    lhs, rhs = statistics.qbinomial_theorem_sides(d, a)
+    return _verdict(lhs, rhs)
+
+
+@_check(_points(d=list(range(9))))
+def qbinomial_recursion_vs_product(d: int) -> Verdict:
+    def test(k):
+        if statistics.q_binomial(d, k) != statistics.q_binomial_product(d, k):
+            return f"k={k}"
+
+    return _scan(range(d + 1), test)
+
+
+@_check(_points(d=list(range(9))))
+def qbinomial_special_case(d: int) -> Verdict:
+    """sum_j C(d,j)_q q^C(j,2) = prod_{j<d} (1+q^j): the a=0, t=1 case of the
+    q-binomial theorem."""
+    lhs, rhs = statistics.qbinomial_theorem_sides(d, 0)
+    return _verdict(lhs.specialize(t=1), rhs.specialize(t=1))
+
+
+@_check(_points(family=["A", "BC", "D"], d=[0, 1, 2, 3, 4, 5]))
+def euler_specialize_s1(family: str, d: int) -> Verdict:
+    fam = GroupFamily(family, d)
+    lhs = statistics.mahonian_recursive(fam, euler=True).specialize(s=1)
+    rhs = statistics.mahonian_recursive(fam)
+    return _verdict(lhs, rhs)
+
+
+# -- group scans ----------------------------------------------------------------
+
+
+@_check(_points(d=[1, 2, 3, 4, 5]))
+def central_element_identities(d: int) -> Verdict:
+    fam = GroupFamily("BC", d)
+    c = central_element(d)
+
+    def test(perm):
+        other = compose(c, perm)
+        if length(perm, fam) + length(other, fam) != d * d:
+            return f"length identity fails at {perm}"
+        if wmaj(perm) + wmaj(other) != comb(d + 1, 2):
+            return f"wmaj identity fails at {perm}"
+
+    return _scan(enumerate_group(fam), test)
+
+
+@_check(_points(d=[1, 2, 3, 4, 5]))
+def bc_vs_d_length_difference(d: int) -> Verdict:
+    fam_d = GroupFamily("D", d)
+    fam_bc = GroupFamily("BC", d)
+
+    def test(perm):
+        if length(perm, fam_bc) - length(perm, fam_d) != negative_count(perm):
+            return f"difference wrong at {perm}"
+
+    return _scan(enumerate_group(fam_d), test)
+
+
+@_check(_points(family=["A", "BC", "D"], d=[1, 2, 3, 4]))
+def generator_length_step(family: str, d: int) -> Verdict:
+    fam = GroupFamily(family, d)
+    gens = fam.generators()
+
+    def test(case):
+        perm, g = case
+        if abs(length(compose(perm, g), fam) - length(perm, fam)) != 1:
+            return f"step not +-1 at {perm}"
+
+    cases = ((perm, g) for perm in enumerate_group(fam) for g in gens)
+    return _scan(cases, test)
+
+
+@_check(_points(
+    *[{"family": "A", "d": d} for d in range(1, 7)],
+    *[{"family": "BC", "d": d} for d in range(1, 6)],
+    *[{"family": "D", "d": d} for d in range(1, 6)],
+))
+def length_vs_bfs(family: str, d: int) -> Verdict:
+    fam = GroupFamily(family, d)
+
+    def test(perm):
+        if length(perm, fam) != coxeter_word_length(perm, fam):
+            return f"closed form != BFS at {perm}"
+
+    return _scan(enumerate_group(fam), test)
+
+
+@_check(_points(family=["A", "BC", "D"], d=[1, 2, 3, 4]))
+def greedy_word_valid(family: str, d: int) -> Verdict:
+    fam = GroupFamily(family, d)
+
+    def test(perm):
+        word = greedy_reduced_word(perm, fam)
+        if len(word) != length(perm, fam) or word_to_perm(word, fam) != perm:
+            return f"bad word at {perm}"
+
+    return _scan(enumerate_group(fam), test)
+
+
+@_check(_points(family=["A", "BC", "D"], d=[1, 2, 3, 4, 5]))
+def standard_weight_identity(family: str, d: int) -> Verdict:
+    fam = GroupFamily(family, d)
+
+    def test(perm):
+        _, weight = flaggeom.standard_flag(perm, fam)
+        if weight != wmaj(perm):
+            return f"standard weight != wmaj at {perm}"
+
+    return _scan(enumerate_group(fam), test)
+
+
+@_check(_points(family=["A", "BC"], d=[1, 2, 3, 4]))
+def descent_statistic_matches_coxeter(family: str, d: int) -> Verdict:
+    """For types A and BC the descent statistic counts generators that shorten
+    the element (not asserted for type D, where it differs)."""
+    fam = GroupFamily(family, d)
+    gens = fam.generators()
+
+    def test(perm):
+        l0 = length(perm, fam)
+        cox = sum(1 for g in gens if length(compose(perm, g), fam) < l0)
+        if cox != descent_count(perm):
+            return f"descent count mismatch at {perm}: {descent_count(perm)} vs {cox}"
+
+    return _scan(enumerate_group(fam), test)
+
+
+# -- geometric oracle ------------------------------------------------------------
+
+
+@_check(_points(
+    *[
+        {"kind": "A", "p": p, "d": d, "trunc": 12, "alpha": a}
+        for p in (2, 3)
+        for d in (1, 2, 3)
+        for a in (False, True)
+    ],
+    *[
+        {"kind": k, "p": p, "d": d, "trunc": 12, "alpha": a}
+        for k in ("C", "B", "D")
+        for p in (3, 5)
+        for d in (1, 2)
+        for a in (False, True)
+    ],
+))
+def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = False) -> Verdict:
+    """Flag-series oracle against the group-statistics side.
+
+    Types A, C, D compare the enumerated series with mahonian * product of
+    geometric factors at q=p; type B compares with the type-C series.
+    """
+    space = flaggeom.space_for_family(kind, p, d)
+    lhs = flaggeom.flag_series(space, trunc, with_alpha=alpha)
+    if kind == "B":
+        rhs = flaggeom.flag_series(flaggeom.symplectic_space(p, d), trunc, with_alpha=alpha)
+    else:
+        m = statistics.mahonian_recursive(space.family, euler=alpha).specialize(q=p)
+        rhs = TruncSeries.from_poly(m, trunc)
+        for j in range(1, d + 1):
+            rhs = rhs * TruncSeries.geometric_factor(j, alpha, trunc)
+    return _verdict(lhs, rhs)
+
+
+def _subspace_count_scan(space: flaggeom.FqSpace, count: Callable) -> Verdict:
+    """Enumerated k-subspaces of the space against count(d, k) at q=p, k = 0..d."""
+
+    def test(k):
+        got = sum(1 for _ in flaggeom.enumerate_subspaces(space, k))
+        want = count(space.d, k).evaluate(q=space.p)
+        return f"k={k}: {got} vs {want}" if got != want else None
+
+    return _scan(range(space.d + 1), test)
+
+
+@_check(_points(p=[2, 3], d=[1, 2, 3, 4]))
+def subspace_count_grassmann(p: int, d: int) -> Verdict:
+    return _subspace_count_scan(flaggeom.linear_space(p, d), statistics.q_binomial)
+
+
+@_check(_points(
+    *[{"kind": "C", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
+    *[{"kind": "B", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
+))
+def subspace_count_isotropic(kind: str, p: int, d: int) -> Verdict:
+    """Isotropic counts in symplectic (kind C) and odd quadratic (kind B)
+    spaces against the shared closed formula."""
+    space = flaggeom.space_for_family(kind, p, d)
+    return _subspace_count_scan(space, statistics.symplectic_isotropic_count)
+
+
+@_check(_points(p=[3, 5], d=[1, 2]))
+def subspace_count_hyperbolic(p: int, d: int) -> Verdict:
+    """Isotropic counts in the hyperbolic space, broken down by the
+    metabolizer excess l."""
+    space = flaggeom.hyperbolic_space(p, d)
+
+    def cases():
+        for k in range(d + 1):
+            tally = Counter(
+                flaggeom.metabolizer_excess(space, rows)
+                for rows in flaggeom.enumerate_subspaces(space, k)
+            )
+            for l in range(k + 1):
+                yield k, l, tally[l]
+
+    def test(case):
+        k, l, got = case
+        want = statistics.hyperbolic_isotropic_count(d, k, l).evaluate(q=p)
+        return f"k={k} l={l}: {got} vs {want}" if got != want else None
+
+    return _scan(cases(), test)
+
+
+@_check(_points(
+    *[{"kind": "A", "p": p, "d": d} for p in (2, 3) for d in (1, 2, 3)],
+    *[{"kind": k, "p": 3, "d": d} for k in ("C", "B", "D") for d in (1, 2)],
+))
+def canonical_cell_counts(kind: str, p: int, d: int) -> Verdict:
+    """Canonical bases with a given length-permutation number p^length.
+
+    For the hyperbolic space the complete flags of both parity classes are
+    tallied, against the type-D length formula extended to all signed
+    permutations."""
+    space = flaggeom.space_for_family(kind, p, d)
+    fam = GroupFamily("BC", d) if kind == "D" else space.family
+
+    counts = {perm: flaggeom.count_canonical_bases(space, perm) for perm in enumerate_group(fam)}
+
+    def test(case):
+        perm, got = case
+        if kind == "D":
+            want = p ** (inversions(perm) + sum(d + x for x in perm if x < 0))
+        else:
+            want = p ** length(perm, fam)
+        return f"{perm}: {got} vs {want}" if got != want else None
+
+    outside = sum(counts.values()) != sum(flaggeom._complete_flag_tally(space).values())
+    extra = "tally contains permutations outside the family" if outside else None
+    return _scan(counts.items(), test, extra)
+
+
+@_check(_points(
+    *[{"kind": "A", "p": p, "d": d} for p in (2, 3) for d in (1, 2, 3)],
+    {"kind": "C", "p": 3, "d": 2},
+))
+def standard_flag_generating_function(kind: str, p: int, d: int) -> Verdict:
+    """Sum of count_canonical_bases * t^standard_weight over the family equals
+    the Mahonian polynomial at q=p."""
+    space = flaggeom.space_for_family(kind, p, d)
+    fam = space.family
+    lhs = MultiPoly.zero()
+    for perm in enumerate_group(fam):
+        _, weight = flaggeom.standard_flag(perm, fam)
+        lhs = lhs + MultiPoly.monomial(flaggeom.count_canonical_bases(space, perm), et=weight)
+    rhs = statistics.mahonian_direct(fam).specialize(q=p)
+    return _verdict(lhs, rhs)
+
+
+@_check(_points(
+    *[{"kind": "A", "p": 3, "d": d} for d in (1, 2, 3)],
+    {"kind": "C", "p": 3, "d": 2},
+    {"kind": "B", "p": 3, "d": 2},
+    {"kind": "D", "p": 3, "d": 2},
+))
+def standard_weight_flags(kind: str, p: int, d: int) -> Verdict:
+    """For every enumerated flag: the canonical basis reproduces the flag by
+    prefix spans, and the standard weight of its standard flag equals the
+    (Weyl-)Major index of the length-permutation."""
+    space = flaggeom.space_for_family(kind, p, d)
+    fam = space.family
+
+    def test(chain):  # the walk's flags are valid: extract without validate_flag
+        basis, perm = flaggeom._extract(space, chain)
+        if any(flaggeom.rref(basis[: len(member)], p) != member for member in chain):
+            return f"prefix spans do not reproduce {chain}"
+        _, weight = flaggeom.standard_flag(perm, fam)
+        if weight != wmaj(perm):
+            return f"standard weight != wmaj for {chain} (perm {perm})"
+        if kind == "D" and negative_count(perm) % 2:
+            return f"even flag {chain} extracted an odd permutation {perm}"
+
+    return _scan(flaggeom.enumerate_flags(space), test)
+
+
+@_check(_points(
+    {"p": 2, "d": 2, "trunc": 12},
+    {"p": 2, "d": 3, "trunc": 12},
+    {"p": 3, "d": 2, "trunc": 12},
+))
+def standard_fiber_series(p: int, d: int, trunc: int) -> Verdict:
+    """Weighted flags sharing a canonical basis sum to t^w_st * prod 1/(1-t^j)."""
+    space = flaggeom.linear_space(p, d)
+
+    def test(bucket):
+        (basis, perm), chains = bucket
+        got = flaggeom.weighted_flag_sum(chains, d, trunc)
+        _, weight = flaggeom.standard_flag(perm, space.family)
+        want = TruncSeries.from_poly(MultiPoly.monomial(1, et=weight), trunc)
+        for j in range(1, d + 1):
+            want = want * TruncSeries.geometric_factor(j, False, trunc)
+        return f"fiber series mismatch for basis {basis}" if got != want else None
+
+    buckets = flaggeom.flags_by_canonical_basis(space)
+    return _scan(buckets.items(), test)
+
+
+@_check(_points(p=[2], d=[1, 2, 3]))
+def refinement_counts(p: int, d: int) -> Verdict:
+    """Bucket all flags of F_p^d by canonical basis; bucket sizes must be
+    2^(d-k) with k the descent count of the basis' length-permutation."""
+    space = flaggeom.linear_space(p, d)
+
+    def test(bucket):
+        (basis, perm), chains = bucket
+        want = flaggeom.refinement_count(perm, space.family)
+        return f"basis {basis}: {len(chains)} flags vs {want}" if len(chains) != want else None
+
+    buckets = flaggeom.flags_by_canonical_basis(space)
+    return _scan(buckets.items(), test)
+
+
+@_check(_points(
+    *[{"kind": "A", "d": d} for d in (1, 2, 3, 4)],
+    *[{"kind": k, "d": d} for k in ("C", "B", "D") for d in (1, 2, 3, 4)],
+))
+def rothe_tallies(kind: str, d: int) -> Verdict:
+    """Cross count = inversions, tensors per tag = the sign part summands, for
+    every element of the matching group."""
+    signed = kind in ("C", "B")
+    fam = GroupFamily("BC" if signed else kind, d)
+    base = d + 1 if signed else d
+
+    def test(perm):
+        diag = rothe_diagram(perm, kind)
+        if diag.cross_count() != inversions(perm):
+            return f"cross count wrong at {perm}"
+        want_tags = {i: base + x for i, x in enumerate(perm, start=1) if x < 0 and base + x}
+        if kind != "A" and diag.tensor_counts() != want_tags:
+            return f"tensor tags wrong at {perm}: {diag.tensor_counts()} vs {want_tags}"
+
+    return _scan(enumerate_group(fam), test)
+
+
+# (kind, permutation, crosses, tensor tallies or None when not asserted)
+_ROTHE_EXAMPLES = (
+    ("A", (6, 3, 8, 1, 4, 9, 7, 2, 5), 18, None),
+    ("C", (-5, 3, -1, 6, 4, -2), 7, {1: 2, 3: 6, 6: 5}),
+    ("D", (-5, 3, -1, -6, 4, -2), 7, {1: 1, 3: 5, 6: 4}),
+)
+
+
+@_check(_points({}))
+def rothe_worked_examples() -> Verdict:
+    """The two printed diagrams: 18 crosses for the type A example, 7 crosses
+    with tensor tallies 2/6/5 for the type C example; the type D example has
+    tallies d + sigma(m)."""
+
+    def test(example):
+        kind, perm, crosses, tags = example
+        diag = rothe_diagram(perm, kind)
+        if diag.cross_count() != crosses or (tags is not None and diag.tensor_counts() != tags):
+            tail = "" if tags is None else f", {diag.tensor_counts()}"
+            return f"type {kind} example: {diag.cross_count()} crosses{tail}"
+
+    return _scan(_ROTHE_EXAMPLES, test)

@@ -155,9 +155,10 @@ class FqSpace:
 
     def functional(self, u: Vector) -> Vector:
         """The coefficient row of B(u, -): entry a is w_(n-1-a) u_(n-1-a), with
-        the mirror weights of the module docstring (not reduced mod p)."""
+        the mirror weights of the module docstring (not reduced mod p).  A
+        linear space carries the zero form."""
         if self.kind == "linear":
-            raise ValueError("linear spaces carry no form")
+            return (0,) * self.d
         d = self.d  # the weights below run from w_(n-1) down to w_0
         weights = (-1 if self.kind == "symplectic" else 1,) * d + (2,) * (self.kind == "quadratic") + (1,) * d
         return tuple(map(mul, weights, reversed(u)))
@@ -374,9 +375,8 @@ def validate_flag(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) -> F
             raise ValueError("flag members must have strictly increasing dimensions")
         if i and not subspace_le(canon[i - 1], member, space.p):
             raise ValueError("flag members must be nested")
-        if space.kind != "linear":
-            if len(member) > space.d or not is_isotropic(space, member):
-                raise ValueError("typed flags must consist of isotropic subspaces")
+        if len(member) > space.iso_max or not is_isotropic(space, member):
+            raise ValueError("typed flags must consist of isotropic subspaces")
         prev_dim = len(member)
     return canon
 
@@ -409,8 +409,8 @@ def _extract(space: FqSpace, chain: Flag) -> tuple[tuple[Vector, ...], SignedPer
     cols: list[int] = []
     while len(cols) < space.iso_max:
         target = next((m for m in chain if len(m) > len(cols)), None)
-        if target is None:  # past the flag (the full space is the complement of no forms)
-            target = nullspace([space.functional(f) for f in fs if space.kind != "linear"], space.dim, space.p)
+        if target is None:  # past the flag (a linear space's zero forms leave the full space)
+            target = nullspace([space.functional(f) for f in fs], space.dim, space.p)
         col, vec = _step(space, target, cols)
         cols.append(col)
         fs.append(vec)

@@ -7,7 +7,10 @@ from weylmahonian.checks import (
     REGISTRY,
     CheckReport,
     _scan,
+    _verdict,
     default_grid,
+    direct_vs_recursive,
+    flag_series_theorem,
     run_all,
     run_identity_check,
 )
@@ -32,27 +35,40 @@ def test_reports_serialize():
 
 
 def test_failure_reports_discrepancy():
-    # compare two genuinely different polynomials through the report helper
-    from weylmahonian.checks import _poly_report
+    # compare two genuinely different polynomials through the verdict helper
     from weylmahonian.algebra import MultiPoly
 
     q = MultiPoly.var("q")
-    rep = _poly_report("adhoc", {}, 1 + q, 1 + q + q**2)
-    assert not rep.passed
-    assert "q^2" in rep.discrepancy
+    passed, _, _, discrepancy = _verdict(1 + q, 1 + q + q**2)
+    assert not passed
+    assert "q^2" in discrepancy
 
 
 def test_scan_reports_counts_and_first_failure():
-    rep = _scan("adhoc", {"n": 4}, range(4), lambda k: f"odd {k}" if k % 2 else None)
-    assert not rep.passed
-    assert rep.lhs == "2 of 4 cases agree"
-    assert rep.rhs == "4 cases expected"
-    assert rep.discrepancy == "odd 1"
-    rep = _scan("adhoc", {}, range(3), lambda k: None, extra="outside the cases")
-    assert (rep.passed, rep.lhs, rep.rhs) == (False, "2 of 3 cases agree", "3 cases expected")
-    assert rep.discrepancy == "outside the cases"
-    rep = _scan("adhoc", {}, [], lambda k: "never called")
-    assert (rep.passed, rep.lhs, rep.rhs, rep.discrepancy) == (True, "0 of 0 cases agree", "0 cases expected", None)
+    passed, lhs, rhs, discrepancy = _scan(range(4), lambda k: f"odd {k}" if k % 2 else None)
+    assert not passed
+    assert lhs == "2 of 4 cases agree"
+    assert rhs == "4 cases expected"
+    assert discrepancy == "odd 1"
+    passed, lhs, rhs, discrepancy = _scan(range(3), lambda k: None, extra="outside the cases")
+    assert (passed, lhs, rhs) == (False, "2 of 3 cases agree", "3 cases expected")
+    assert discrepancy == "outside the cases"
+    verdict = _scan([], lambda k: "never called")
+    assert verdict == (True, "0 of 0 cases agree", "0 cases expected", None)
+
+
+@pytest.mark.parametrize("name", list(REGISTRY))
+def test_report_carries_registry_name_and_grid_point(name):
+    point = default_grid(name)[0]
+    rep = run_identity_check(name, point)
+    assert rep.name == name
+    assert rep.params == point
+    assert list(rep.params) == list(point)
+
+
+def test_positional_calls_fill_in_defaults():
+    assert direct_vs_recursive("A", 3).params == {"family": "A", "d": 3, "euler": False}
+    assert flag_series_theorem("C", 3, 1, 6).params["alpha"] is False
 
 
 @pytest.mark.parametrize(

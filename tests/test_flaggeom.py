@@ -1,6 +1,7 @@
 import inspect
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -71,6 +72,13 @@ def test_grassmann_counts(p, d):
     for k in range(d + 1):
         got = sum(1 for _ in enumerate_subspaces(sp, k))
         assert got == q_binomial(d, k).evaluate(q=p)
+
+
+def test_linear_space_carries_the_zero_form():
+    sp = linear_space(3, 3)
+    vectors = list(product(range(3), repeat=3))
+    assert all(sp.bilinear(u, v) == 0 for u in vectors for v in vectors)
+    assert all(is_isotropic(sp, rows) for k in range(4) for rows in enumerate_subspaces(sp, k))
 
 
 @pytest.mark.parametrize("maker", [symplectic_space, quadratic_space])
