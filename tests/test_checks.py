@@ -36,12 +36,16 @@ def test_reports_serialize():
 
 def test_failure_reports_discrepancy():
     # compare two genuinely different polynomials through the verdict helper
-    from weylmahonian.algebra import MultiPoly
+    from weylmahonian.algebra import MultiPoly, TruncSeries
 
     q = MultiPoly.var("q")
     passed, _, _, discrepancy = _verdict(1 + q, 1 + q + q**2)
     assert not passed
     assert "q^2" in discrepancy
+    series = lambda p: TruncSeries.from_poly(p, 3)
+    passed, lhs, _, discrepancy = _verdict(series(1 + q), series(1 + q + q**2))
+    assert not passed and lhs == str(series(1 + q))
+    assert discrepancy.startswith("coefficient of t^0: ") and "q^2" in discrepancy
 
 
 def test_scan_reports_counts_and_first_failure():
