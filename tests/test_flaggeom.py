@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import sys
 from collections import Counter
@@ -101,6 +102,21 @@ def test_hyperbolic_counts_by_excess(p, d):
             tally[l] = tally.get(l, 0) + 1
         for l in range(k + 1):
             assert tally.get(l, 0) == hyperbolic_isotropic_count(d, k, l).evaluate(q=p)
+
+
+def test_subspace_streams_are_pinned():
+    """One SHA-256 over enumerate_subspaces for every k of 25 spaces: linear
+    p=2,3 n<=4; C/B/D p=3,5 d<=2; C p=2 d=3; C/B/D p=3 d=3; C p=7 d=2."""
+    spaces = [linear_space(p, n) for p in (2, 3) for n in range(1, 5)]
+    spaces += [maker(p, d) for maker in (symplectic_space, quadratic_space, hyperbolic_space)
+               for p in (3, 5) for d in (1, 2)]
+    spaces += [symplectic_space(2, 3), symplectic_space(3, 3), quadratic_space(3, 3), hyperbolic_space(3, 3)]
+    spaces.append(symplectic_space(7, 2))
+    h = hashlib.sha256()
+    for sp in spaces:
+        for k in range(sp.dim + 1):
+            h.update(repr((sp, k, list(enumerate_subspaces(sp, k)))).encode())
+    assert h.hexdigest() == "1802eb2fe6d7978fbc819f1d0759f924724c895d03e671e952d8844a620fa96a"
 
 
 def test_enumerate_subspaces_validation():

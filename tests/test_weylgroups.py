@@ -1,3 +1,5 @@
+import hashlib
+import inspect
 from math import comb, factorial
 
 import pytest
@@ -102,6 +104,22 @@ def test_enumerate_group_counts_and_order():
         assert elems == sorted(elems)
         assert len(set(elems)) == len(elems) == fam.order()
         assert all(fam.contains(p) for p in elems)
+
+
+def test_enumerate_group_and_generators_are_pinned():
+    """One SHA-256 over the element stream and the generators of A d <= 8 and
+    BC/D d <= 6, every rank from 0 up to the enumeration cap."""
+    h = hashlib.sha256()
+    for tag, top in (("A", 8), ("BC", 6), ("D", 6)):
+        for d in range(top + 1):
+            fam = GroupFamily(tag, d)
+            h.update(repr((tag, d, list(enumerate_group(fam)), fam.generators())).encode())
+    assert h.hexdigest() == "b24dd30e50800d6d704dbe7fffce359914fff8fd17eaad86fdc70220800b0f8b"
+
+
+def test_enumerate_group_is_a_generator():
+    # perfbench's tracer drives the stream with next(); the cap raises at the first one
+    assert inspect.isgenerator(enumerate_group(GroupFamily("BC", 2)))
 
 
 def test_enumerate_group_cap():
