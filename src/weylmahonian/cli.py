@@ -46,7 +46,14 @@ def _non_negative(text: str) -> int:
 
 
 def _parse_primes(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x]
+    try:
+        primes = [int(x) for x in text.split(",") if x]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+    for p in primes:
+        if p not in flaggeom._SMALL_PRIMES:
+            raise argparse.ArgumentTypeError(f"{p} is not a supported prime {flaggeom._SMALL_PRIMES}")
+    return primes
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -202,17 +202,8 @@ def _row_candidates(dim: int, pivots: tuple[int, ...], r: int, p: int) -> list[V
     """All RREF rows with pivot pivots[r]: 1 at the pivot, 0 at the other
     pivot columns and left of the pivot, arbitrary elsewhere."""
     piv = pivots[r]
-    pivot_set = set(pivots)
-    free = [c for c in range(piv + 1, dim) if c not in pivot_set]
-    base = [0] * dim
-    base[piv] = 1
-    out = []
-    for vals in product(range(p), repeat=len(free)):
-        row = base.copy()
-        for c, v in zip(free, vals):
-            row[c] = v
-        out.append(tuple(row))
-    return out
+    choices = [(1,) if c == piv else (0,) if c < piv or c in pivots else range(p) for c in range(dim)]
+    return list(product(*choices))
 
 
 def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:

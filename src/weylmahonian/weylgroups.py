@@ -18,9 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import comb, factorial
+from operator import mul
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 SignedPerm = tuple[int, ...]
 
@@ -58,20 +60,12 @@ class GroupFamily:
         BC adds the sign change of d; D adds the signed swap d-1 -> -d,
         d -> -(d-1).
         """
-        d = self.d
-        gens = []
-        for i in range(1, d):
-            g = list(range(1, d + 1))
-            g[i - 1], g[i] = g[i], g[i - 1]
-            gens.append(tuple(g))
-        if self.tag == "BC" and d >= 1:
-            g = list(range(1, d + 1))
-            g[d - 1] = -d
-            gens.append(tuple(g))
-        elif self.tag == "D" and d >= 2:
-            g = list(range(1, d + 1))
-            g[d - 2], g[d - 1] = -d, -(d - 1)
-            gens.append(tuple(g))
+        e = identity(self.d)
+        gens = [(*e[: i - 1], i + 1, i, *e[i + 1 :]) for i in range(1, self.d)]
+        if self.tag == "BC" and self.d >= 1:
+            gens.append((*e[:-1], -self.d))
+        elif self.tag == "D" and self.d >= 2:
+            gens.append((*e[:-2], -self.d, 1 - self.d))
         return tuple(gens)
 
     def contains(self, perm: SignedPerm) -> bool:
@@ -85,7 +79,7 @@ class GroupFamily:
 
 
 def is_signed_perm(perm: SignedPerm) -> bool:
-    return sorted(abs(x) for x in perm) == list(range(1, len(perm) + 1)) and 0 not in perm
+    return sorted(map(abs, perm)) == list(range(1, len(perm) + 1))
 
 
 def check_member(perm: SignedPerm, fam: GroupFamily) -> None:
@@ -132,14 +126,7 @@ def pm_coordinates(d: int, kind: str) -> tuple[int, ...]:
 
 def inversions(perm: SignedPerm) -> int:
     """Number of pairs i < j with perm[i] >_pm perm[j]."""
-    n = len(perm)
-    count = 0
-    for i in range(n):
-        a = perm[i]
-        for j in range(i + 1, n):
-            if pm_less(perm[j], a):
-                count += 1
-    return count
+    return sum(pm_less(b, a) for a, b in combinations(perm, 2))
 
 
 def negative_count(perm: SignedPerm) -> int:
@@ -197,29 +184,14 @@ def enumerate_group(fam: GroupFamily) -> Iterator[SignedPerm]:
     yield from _enumerate(fam.tag, fam.d)
 
 
-def _enumerate(tag: str, d: int) -> Iterator[SignedPerm]:
-    prefix: list[int] = []
-    used = [False] * (d + 1)
-
-    def rec(neg: int) -> Iterator[SignedPerm]:
-        pos = len(prefix)
-        if pos == d:
-            if tag != "D" or neg % 2 == 0:
-                yield tuple(prefix)
-            return
-        if tag == "A":
-            candidates = [v for v in range(1, d + 1) if not used[v]]
-        else:
-            candidates = [-v for v in range(d, 0, -1) if not used[v]]
-            candidates += [v for v in range(1, d + 1) if not used[v]]
-        for v in candidates:
-            used[abs(v)] = True
-            prefix.append(v)
-            yield from rec(neg + (v < 0))
-            prefix.pop()
-            used[abs(v)] = False
-
-    yield from rec(0)
+def _enumerate(tag: str, d: int) -> Iterable[SignedPerm]:
+    """Type A in the order permutations() gives, already lexicographic; the
+    signed types sorted, as tuples compare -d < ... < -1 < 1 < ... < d."""
+    perms = permutations(range(1, d + 1))
+    if tag == "A":
+        return perms
+    signs = [s for s in product((-1, 1), repeat=d) if tag == "BC" or s.count(-1) % 2 == 0]
+    return sorted(tuple(map(mul, s, perm)) for perm in perms for s in signs)
 
 
 # -- independent word-length oracle (Cayley graph BFS) -----------------------

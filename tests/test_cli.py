@@ -228,6 +228,23 @@ def test_verify_rejects_negative_bounds_before_any_check(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "primes, message",
+    [
+        ("3,x", "argument --primes: not a comma-separated list of integers: '3,x'"),
+        ("-3", "argument --primes: -3 is not a supported prime (2, 3, 5, 7, 11, 13)"),
+        ("4", "argument --primes: 4 is not a supported prime (2, 3, 5, 7, 11, 13)"),
+    ],
+)
+def test_verify_rejects_unsupported_primes_before_any_check(capsys, primes, message):
+    code = run(["verify", "--all", "--primes", primes])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
+    assert message in captured.err
+
+
 def test_closed_stdout_pipe_exits_141_quietly():
     read_end, write_end = os.pipe()
     os.close(read_end)  # closed before the child starts: every write fails
