@@ -50,6 +50,8 @@ def _parse_primes(text: str) -> list[int]:
         primes = [int(x) for x in text.split(",") if x]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated list of integers: {text!r}")
+    if not primes:
+        raise argparse.ArgumentTypeError(f"no prime listed: {text!r}")
     for p in primes:
         if p not in flaggeom._SMALL_PRIMES:
             raise argparse.ArgumentTypeError(f"{p} is not a supported prime {flaggeom._SMALL_PRIMES}")

@@ -23,10 +23,12 @@ prod_i x*t^(dim V_i) / (1 - x*t^(dim V_i)) with x = s or 1, which depends
 on the flag only through its dimension signature, so the flags are counted
 by signature and each signature's factor is formed once.
 
-The flags are walked through the containment relation, built down from each
-subspace W's RREF basis B (pivots c_1 < ... < c_k): for U in RREF, U*B equals
-U at the columns c_j and vanishes left of each row's first 1, so U*B is in
-RREF, and U -> U*B maps the subspaces of F_p^k onto those of W.
+The flags live in the containment relation, built down from each subspace
+W's RREF basis B (pivots c_1 < ... < c_k): for U in RREF, U*B equals U at the
+columns c_j and vanishes left of each row's first 1, so U*B is in RREF, and
+U -> U*B maps the subspaces of F_p^k onto those of W.  flag_series counts the
+chains of that poset by signature, one subspace at a time, and lists none;
+enumerate_flags and the canonical-basis tally walk it depth first.
 """
 
 from __future__ import annotations
@@ -282,15 +284,20 @@ def _containment(space: FqSpace) -> Mapping[Subspace, tuple[Subspace, ...]]:
     the zero subspace first, mapped to the larger ones that contain it, in
     enumeration order.  Each W is listed above its subspaces U*B, with U over
     the smaller subspaces of F_p^dim(W), already in RREF (module docstring),
-    so no containment is tested and a key the enumeration missed raises.  It
-    is read-only because the cache hands the same mapping to every caller."""
+    so no containment is tested and a key the enumeration missed raises.  Per
+    W, each row of those U is mapped to its image row once.  It is read-only
+    because the cache hands the same mapping to every caller."""
+    p = space.p
     levels = [tuple(enumerate_subspaces(space, m)) for m in range(space.iso_max + 1)]
     above: dict[Subspace, list[Subspace]] = {sub: [] for level in levels for sub in level}
     for k, level in enumerate(levels[1:], 1):
-        coords = [u for m in range(k) for u in enumerate_subspaces(linear_space(space.p, k), m)]
-        for big, u in product(level, coords):
-            image = tuple(tuple(sum(a * b for a, b in zip(row, col)) % space.p for col in zip(*big)) for row in u)
-            above[image].append(big)
+        coords = [u for m in range(k) for u in enumerate_subspaces(linear_space(p, k), m)]
+        rows = {row for u in coords for row in u}
+        for big in level:
+            cols = tuple(zip(*big))
+            image = {row: tuple(sum(map(mul, row, col)) % p for col in cols) for row in rows}
+            for u in coords:
+                above[tuple(map(image.__getitem__, u))].append(big)
     return MappingProxyType({sub: tuple(bigs) for sub, bigs in above.items()})
 
 
@@ -324,18 +331,16 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
     yield from (chain for chain in chains if not even_only or not chain or even(chain[-1]))
 
 
-def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: bool = False) -> TruncSeries:
-    """Sum over the chains (members of dimension <= top) of
-    prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha.
-
-    A chain's term depends only on its dimension signature, so the chains are
-    counted by signature and each signature's product is formed once."""
+def _signature_sum(signatures: Mapping[tuple[int, ...], int], top: int, bound: int, with_alpha: bool) -> TruncSeries:
+    """Sum over the dimension signatures (dimensions <= top), each counted
+    its number of times, of prod_m (x t^m + x^2 t^(2m) + ...) with x = s if
+    with_alpha: each signature's product is formed once."""
     factors = [
         TruncSeries.geometric_factor(m, with_alpha, bound) - TruncSeries.one(bound)
         for m in range(1, top + 1)
     ]
     total = TruncSeries.zero(bound)
-    for signature, count in Counter(tuple(map(len, chain)) for chain in chains).items():
+    for signature, count in signatures.items():
         term = TruncSeries(bound, [MultiPoly.const(count)])
         for m in signature:
             term = term * factors[m - 1]
@@ -343,13 +348,47 @@ def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: 
     return total
 
 
+def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: bool = False) -> TruncSeries:
+    """Sum over the chains (members of dimension <= top) of
+    prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha.
+
+    A chain's term depends only on its dimension signature, so the chains are
+    counted by signature."""
+    return _signature_sum(Counter(tuple(map(len, chain)) for chain in chains), top, bound, with_alpha)
+
+
+def _signature_counts(space: FqSpace) -> Counter[tuple[int, ...]]:
+    """The number of flags of each dimension signature, the counts that
+    enumerate_flags would give, without listing a flag.
+
+    A chain count of the containment poset: the keys come in level order, so
+    when W is reached, every V below it has pushed the signatures of the
+    chains ending at V (the empty chain at the zero subspace), and those
+    extended by dim W are the chains ending at W.  For the hyperbolic space
+    only the empty flag and the chains ending at even parity are counted."""
+    above = _containment(space)
+    hyperbolic = space.kind == "hyperbolic"
+    below: dict[Subspace, dict[tuple[int, ...], int]] = {sub: {} for sub in above}
+    total: Counter[tuple[int, ...]] = Counter()
+    for sub, bigs in above.items():
+        m = len(sub)
+        counts = {(*sig, m): n for sig, n in below.pop(sub).items()} if sub else {(): 1}
+        if not hyperbolic or not sub or metabolizer_excess(space, sub) % 2 == 0:
+            total.update(counts)
+        for big in bigs:
+            pushed = below[big]
+            for sig, n in counts.items():
+                pushed[sig] = pushed.get(sig, 0) + n
+    return total
+
+
 def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSeries:
     """Generating series of weighted flags: the weighted_flag_sum over all
-    flags of the space.
+    flags of the space, from their signature counts.
 
     For the hyperbolic space the sum runs over even flags.
     """
-    return weighted_flag_sum(enumerate_flags(space), space.iso_max, bound, with_alpha)
+    return _signature_sum(_signature_counts(space), space.iso_max, bound, with_alpha)
 
 
 # -- canonical bases ------------------------------------------------------------

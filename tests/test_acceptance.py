@@ -7,7 +7,7 @@ no numeric tolerances anywhere.  Criterion grids:
   2. direct = recursive (A d<=10, BC d<=7, D d<=7; Euler-extended for A, BC)
   3. closed-form length = Cayley-graph BFS distance (BC, D at d<=6)
   4. flag-series theorems at p in {3,5}, T = 12 (types A, C, B, D; plain and
-     s-marked), plus C, B and D at p = 3, d = 3 and A at p = 2, d = 5
+     s-marked), plus C, B and D at p = 3, d = 3 and A at p = 2 and 3, d = 5
   5. subspace counting formulas at p in {3,5}, ambient dimension <= 6
   6. canonical-basis cell counts (type A: S_3 at p in {2,3}, S_4 at p = 3;
      type C: S_2^pm at p = 3, S_3^pm at p = 2; type D: D_3 at p = 3)
@@ -81,11 +81,11 @@ def test_criterion_4_flag_series_theorems():
             for kind in ("C", "B", "D"):
                 cases.append((kind, p, 2, alpha))
     for alpha in (False, True):
-        cases += [("C", 3, 3, alpha), ("B", 3, 3, alpha), ("D", 3, 3, alpha), ("A", 2, 5, alpha)]
+        cases += [("C", 3, 3, alpha), ("B", 3, 3, alpha), ("D", 3, 3, alpha), ("A", 2, 5, alpha), ("A", 3, 5, alpha)]
     for kind, p, d, alpha in cases:
         passes(checks.flag_series_theorem(kind, p, d, 12, alpha))
     report("criterion 4: flag-series theorems at p in {3,5}, T=12 (plain and s-marked), "
-           "C/B/D p=3 d=3, A p=2 d=5", True)
+           "C/B/D p=3 d=3, A p=2 d=5, A p=3 d=5", True)
 
 
 def test_criterion_5_counting_formulas():

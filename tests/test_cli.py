@@ -234,6 +234,8 @@ def test_verify_rejects_negative_bounds_before_any_check(capsys, argv, message):
         ("3,x", "argument --primes: not a comma-separated list of integers: '3,x'"),
         ("-3", "argument --primes: -3 is not a supported prime (2, 3, 5, 7, 11, 13)"),
         ("4", "argument --primes: 4 is not a supported prime (2, 3, 5, 7, 11, 13)"),
+        ("", "argument --primes: no prime listed: ''"),
+        (",", "argument --primes: no prime listed: ','"),
     ],
 )
 def test_verify_rejects_unsupported_primes_before_any_check(capsys, primes, message):

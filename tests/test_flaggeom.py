@@ -304,8 +304,9 @@ def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
     assert callers == ["canonical_basis"] * len(chains)
 
 
-def test_containment_is_walked_only_by_walk(monkeypatch):
-    """Every flag job reaches the containment relation through the one walk."""
+def test_containment_is_read_by_walk_and_dp(monkeypatch):
+    """Every flag job reaches the containment relation once, through the
+    walk or, for the series, through the signature DP."""
     import weylmahonian.flaggeom as fg
 
     callers = _caller_spy(monkeypatch, "_containment")
@@ -314,7 +315,42 @@ def test_containment_is_walked_only_by_walk(monkeypatch):
     flag_series(hyp, 6)
     fg._complete_flag_tally.__wrapped__(hyp)
     flags_by_canonical_basis(sp)
-    assert len(callers) == 4 and set(callers) == {"_walk"}
+    assert callers == ["_walk", "_signature_counts", "_walk", "_walk"]
+
+
+def test_flag_series_lists_no_flag(monkeypatch):
+    """The series is read off the signature counts: no enumerate_flags call."""
+    callers = _caller_spy(monkeypatch, "enumerate_flags")
+    for space in (linear_space(2, 3), symplectic_space(3, 2), hyperbolic_space(3, 2)):
+        flag_series(space, 6)
+        flag_series(space, 6, with_alpha=True)
+    assert callers == []
+
+
+@pytest.mark.parametrize(
+    "space",
+    [
+        linear_space(2, 3),
+        linear_space(3, 4),
+        symplectic_space(3, 2),
+        quadratic_space(3, 2),
+        hyperbolic_space(3, 2),
+        hyperbolic_space(3, 3),
+        symplectic_space(7, 2),
+    ],
+    ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
+)
+def test_signature_counts_match_the_walk(space):
+    """The DP counts each signature as often as the walk lists a flag with
+    it (even flags only for the hyperbolic space), and the series built from
+    those counts is the weighted_flag_sum over the walk's flags."""
+    import weylmahonian.flaggeom as fg
+
+    want = Counter(tuple(map(len, chain)) for chain in enumerate_flags(space))
+    assert fg._signature_counts(space) == want
+    for with_alpha in (False, True):
+        walked = fg.weighted_flag_sum(enumerate_flags(space), space.iso_max, 12, with_alpha)
+        assert flag_series(space, 12, with_alpha) == walked
 
 
 def test_enumerate_flags_is_lazy(monkeypatch):
@@ -328,7 +364,7 @@ def test_enumerate_flags_is_lazy(monkeypatch):
 
 def test_parity_is_read_once_per_subspace(monkeypatch):
     """Even flags are those whose last member has even parity, read once per
-    subspace, not once per flag."""
+    subspace, not once per flag, by the walk and by the series alike."""
     import weylmahonian.flaggeom as fg
 
     sp = hyperbolic_space(3, 2)
@@ -337,6 +373,9 @@ def test_parity_is_read_once_per_subspace(monkeypatch):
     real, seen = fg.metabolizer_excess, Counter()
     monkeypatch.setattr(fg, "metabolizer_excess", lambda space, rows: seen.update([rows]) or real(space, rows))
     assert list(enumerate_flags(sp)) == want
+    assert seen and max(seen.values()) == 1
+    seen.clear()
+    flag_series(sp, 6)
     assert seen and max(seen.values()) == 1
 
 
