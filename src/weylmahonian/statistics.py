@@ -62,11 +62,19 @@ takes both from bounds that hold before any cancellation:
 
 The factors prod_{j>k} (1 - x t^j) are applied in Horner form, upward in k:
 acc <- acc (1 - x t^k) + x^[k>0] t^k count(k) M_k, one shift-and-subtract
-per row and step, and one small-by-medium integer product per row of M_k.
+per row and step, and one small-by-medium integer product per nonzero row
+of M_k.  The product is taken before any shift: the row loses its trailing
+zero bits, and those and the marker's shift x^[k>0] are put back on the
+result.  Every row of positive t-degree carries an s, so with s marked both
+shifts are long strings of zero digits that never enter a multiplication.
 The type A interiors M_0, ..., M_d are kept for one call only.  Before any
 arithmetic the packed size (rows x digits per row x w bits) is checked
-against RECUR_MAX_BITS; after unpacking, the coefficients must sum to the
-group order (the value at q = t = s = 1), or the call raises.
+against RECUR_MAX_BITS.
+
+The result is unpacked once, into terms already in lexicographic
+(eq, et, es) order, so the emitters' sort is one linear pass; the zero-free
+term dict goes to MultiPoly without a second check.  The coefficients must
+sum to the group order (the value at q = t = s = 1), or the call raises.
 """
 
 from __future__ import annotations
@@ -217,7 +225,7 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
         es, e = divmod(e, s_unit) if euler else (0, e)
         et, eq = divmod(e, t_unit)
         terms[(eq, et, es)] = c
-    return MultiPoly(terms)
+    return MultiPoly._wrap(terms)  # counts of words: every one positive
 
 
 class _Layout(NamedTuple):
@@ -270,7 +278,12 @@ def _flag_rows(counts: list[MultiPoly], interior: list[list[int]], lay: _Layout)
 
     with the marker x (s or 1, as the layout says) and M_k = interior[k].  It
     is evaluated upward in k in Horner form,
-    acc <- acc * (1 - x t^k) + x^[k>0] t^k counts[k] M_k, on packed rows."""
+    acc <- acc * (1 - x t^k) + x^[k>0] t^k counts[k] M_k, on packed rows.
+
+    Each product is taken before it is shifted: a nonzero row with z trailing
+    zero bits adds (c * (row >> z)) << (z + shift), the same integer as
+    (c << shift) * row, so neither the marker shift nor the row's low zero
+    digits (every t^k with k > 0 carries an s) enter the multiplication."""
     top = len(counts) - 1
     x = lay.x_shift
     acc = [0] * (top * (top + 1) // 2 + 1)
@@ -278,29 +291,37 @@ def _flag_rows(counts: list[MultiPoly], interior: list[list[int]], lay: _Layout)
         if k:  # acc has t-degree <= k(k-1)/2 here; downward, so acc[i - k] is still the old row
             for i in range(k * (k + 1) // 2, k - 1, -1):
                 acc[i] -= acc[i - k] << x
-        c = _pack_q(count, lay.width) << (x if k else 0)
+        c = _pack_q(count, lay.width)
+        shift = x if k else 0
         for i, row in enumerate(interior[k], start=k):
-            acc[i] += c * row
+            if row:
+                z = (row & -row).bit_length() - 1
+                acc[i] += c * (row >> z) << (z + shift)
     return acc
 
 
 def _unpack(rows: list[int], lay: _Layout) -> MultiPoly:
     """The polynomial whose coefficient of t^i is packed in rows[i], read as
     signed digits in [-2^(w-1), 2^(w-1)); OverflowError if a row needs more
-    than lay.slots digits.
+    than lay.slots digits.  Its terms come out in (eq, et, es) order.
 
     Only each row's span from its lowest to its highest nonzero digit is
     converted.  The lowest set bit of a row lies in its lowest nonzero digit.
     If the highest nonzero digit sits at slot h, then 2^(w h) / 4 < |row| <
     2^(w (h + 1)), so (bit length + 1) // w is h or h + 1.  The span stops at
     the last slot of the layout, and a row that reaches past it fails to
-    convert exactly as a full-width conversion would."""
-    w, slots = lay.width, lay.slots
+    convert exactly as a full-width conversion would.
+
+    Rows rise in et, and a row's slots rise in (es, eq), so the terms of one
+    q-degree arrive in (et, es) order; one bucket per q-degree, read in
+    turn, gives the lexicographic order.  A bucket holds each key and its
+    coefficient side by side, not as a pair, and is dropped once read."""
+    w, slots, q_stride = lay.width, lay.slots, lay.q_stride
     size = w // 8
     half = 1 << (w - 1)
     zero = half.to_bytes(size, "little")  # a zero digit once half is added
     offset = int.from_bytes(zero * slots, "little")  # adds half to every digit
-    terms: dict[tuple[int, int, int], int] = {}
+    buckets: list[list] = [[] for _ in range(q_stride)]  # per eq: key, coefficient, key, ...
     for et, row in enumerate(rows):
         if not row:
             continue
@@ -309,12 +330,20 @@ def _unpack(rows: list[int], lay: _Layout) -> MultiPoly:
             raise OverflowError(f"row {et} has no digit inside the {slots} slots of the layout")
         n = min((abs(row).bit_length() + 1) // w, slots - 1) - lo + 1
         buf = ((row >> w * lo) + (offset >> w * (slots - n))).to_bytes(size * n, "little")
+        es, eq = divmod(lo, q_stride)
         for j in range(0, len(buf), size):
             digit = buf[j:j + size]
             if digit != zero:
-                es, eq = divmod(lo + j // size, lay.q_stride)
-                terms[(eq, et, es)] = int.from_bytes(digit, "little") - half
-    return MultiPoly(terms)
+                buckets[eq] += ((eq, et, es), int.from_bytes(digit, "little") - half)
+            eq += 1
+            if eq == q_stride:
+                es, eq = es + 1, 0
+    terms: dict[tuple[int, int, int], int] = {}
+    for eq, bucket in enumerate(buckets):
+        pairs = iter(bucket)
+        terms.update(zip(pairs, pairs))
+        buckets[eq] = None
+    return MultiPoly._wrap(terms)
 
 
 def mahonian_recursive(fam: GroupFamily, euler: bool = False) -> MultiPoly:

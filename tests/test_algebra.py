@@ -40,6 +40,20 @@ def test_basic_arithmetic():
     assert poly_text(1 - Q**2) == "1 - q^2"
 
 
+def test_poly_text_signs_and_factors():
+    cases = [
+        (MultiPoly.const(-1), "-1"),
+        (MultiPoly.const(7), "7"),
+        (-Q, "-q"),
+        (-2 * Q**2 * T * S**3 + 1, "1 - 2*q^2*t*s^3"),
+        (-Q + T**12 - 3 * S, "-3*s + t^12 - q"),
+        (Q**10 * T**11 * S**12 - Q**10 * T**11 - 10**30 * Q**10, "-1000000000000000000000000000000*q^10 - q^10*t^11 + q^10*t^11*s^12"),
+        (1 - Q, "1 - q"),
+    ]
+    for poly, text in cases:
+        assert poly_text(poly) == text
+
+
 def test_ring_axioms_random():
     rng = random.Random(20240817)
     for _ in range(150):
@@ -193,11 +207,15 @@ def test_series_cannot_be_changed_through_coeffs():
 
 def test_polynomial_terms_are_read_only():
     from weylmahonian import algebra
-    from weylmahonian.statistics import q_binomial
+    from weylmahonian.statistics import mahonian_direct, mahonian_recursive, q_binomial
+    from weylmahonian.weylgroups import GroupFamily
 
-    for poly in (algebra.ONE, q_binomial(4, 2)):
+    built = [f(GroupFamily(tag, 3), euler=True) for f in (mahonian_recursive, mahonian_direct) for tag in ("A", "BC")]
+    for poly in (algebra.ONE, q_binomial(4, 2), *built):
         with pytest.raises(TypeError):
             poly.terms[(0, 0, 0)] = 7
+        with pytest.raises(AttributeError):
+            poly.terms = {}
     with pytest.raises(TypeError):
         TruncSeries.one(3).coeffs[1].terms[(0, 0, 0)] = 7
     # no field can be rebound or deleted either
@@ -212,6 +230,7 @@ def test_polynomial_terms_are_read_only():
     assert series.bound == 3 and series == TruncSeries.one(3)
     assert algebra.ONE == MultiPoly.one() and not algebra.ZERO.terms
     assert q_binomial(4, 2).evaluate() == 6
+    assert [p.evaluate() for p in built] == [6, 48, 6, 48]
 
 
 def test_series_coefficients_stay_t_free():

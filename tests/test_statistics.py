@@ -8,7 +8,9 @@ from weylmahonian.statistics import (
     DIRECT_MAX_STATES,
     _Layout,
     _direct_states,
+    _flag_rows,
     _layout,
+    _pack_q,
     _unpack,
     closed_form,
     even_isotropic_count,
@@ -317,7 +319,9 @@ def test_unpack_matches_every_slot_on_hand_built_rows(width):
         hi = rng.randrange(lo, lay.slots)
         cases.append([0] * lo + [rng.randrange(-half, half) for _ in range(hi - lo + 1)])
     rows = [_row(digits, width) for digits in cases]
-    assert _unpack(rows, lay) == _unpack_every_slot(rows, lay)
+    poly = _unpack(rows, lay)
+    assert poly == _unpack_every_slot(rows, lay)
+    assert list(poly.terms) == sorted(poly.terms)
     assert _unpack([0, 0], lay) == MultiPoly()
 
 
@@ -348,6 +352,58 @@ def test_unpack_matches_every_slot_on_recursion_rows(monkeypatch, tag, euler):
         poly = mahonian_recursive(GroupFamily(tag, d), euler=euler)
         rows, lay = seen.pop()
         assert poly == _unpack_every_slot(rows, lay)
+        assert list(poly.terms) == sorted(poly.terms)
+
+
+def _flag_rows_unstripped(counts, interior, lay):
+    """The reference for _flag_rows: each product (c << shift) * row taken
+    on the shifted count and the whole row."""
+    top = len(counts) - 1
+    acc = [0] * (top * (top + 1) // 2 + 1)
+    for k, count in enumerate(counts):
+        if k:
+            for i in range(k * (k + 1) // 2, k - 1, -1):
+                acc[i] -= acc[i - k] << lay.x_shift
+        c = _pack_q(count, lay.width) << (lay.x_shift if k else 0)
+        for i, row in enumerate(interior[k], start=k):
+            acc[i] += c * row
+    return acc
+
+
+@pytest.mark.parametrize("x_shift", [0, 32])
+def test_flag_rows_match_unstripped_products_on_hand_built_rows(x_shift):
+    lay = _Layout(q_stride=4, slots=8, width=8, x_shift=x_shift)
+    special = [
+        0,  # a zero row
+        1, -1, 1 << 40, -(1 << 40),  # single-bit rows, either sign
+        -3 << 17, 5 << 64, -(1 << 70) + (1 << 9),  # trailing zeros under a negative or wide row
+        (1 << 100) - 1,  # no trailing zero
+    ]
+    rng = random.Random(x_shift)
+    counts = [1 + Q, 2 * Q**2 - Q**3, 3 + Q**4, -Q]  # top 3: M_k may have k(k-1)/2 + 1 rows
+    for _ in range(40):
+        interior = [[rng.choice(special) if rng.random() < 0.5 else rng.randrange(-(1 << 90), 1 << 90) << rng.randrange(60)
+                     for _ in range(k * (k - 1) // 2 + 1)] for k in range(len(counts))]
+        assert _flag_rows(counts, interior, lay) == _flag_rows_unstripped(counts, interior, lay)
+
+
+@pytest.mark.parametrize("tag", ["A", "BC", "D"])
+@pytest.mark.parametrize("euler", [False, True])
+def test_flag_rows_match_unstripped_products_on_recursion_rows(tag, euler):
+    """Every _flag_rows call of the recursion at ranks up to 8, each interior
+    built by the reference."""
+    count = {"BC": symplectic_isotropic_count, "D": even_isotropic_count}.get(tag)
+    for d in range(9):
+        lay = _layout(GroupFamily(tag, d), euler)
+        interior = [[1]]
+        for m in range(1, d + 1):
+            counts = [q_binomial(m, k) for k in range(m)]
+            rows = _flag_rows(counts, interior, lay)
+            assert rows == _flag_rows_unstripped(counts, interior, lay)
+            interior.append(rows)
+        if count:
+            counts = [count(d, k) for k in range(d + 1)]
+            assert _flag_rows(counts, interior, lay) == _flag_rows_unstripped(counts, interior, lay)
 
 
 @pytest.mark.parametrize("tag, ranks", [("A", (15, 16)), ("BC", (13, 14)), ("D", (13, 14))])
