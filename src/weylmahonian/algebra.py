@@ -26,7 +26,7 @@ Term order everywhere (iteration, text, JSON, LaTeX) is lexicographic on
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 VARS = ("q", "t", "s")
 _VAR_INDEX = {"q": 0, "t": 1, "s": 2}
@@ -160,9 +160,12 @@ class MultiPoly:
     def coefficient(self, eq: int = 0, et: int = 0, es: int = 0) -> int:
         return self.terms.get((eq, et, es), 0)
 
-    def sorted_terms(self) -> list[tuple[Exponent, int]]:
-        """Terms in lexicographic (eq, et, es) order."""
-        return sorted(self.terms.items())
+    def sorted_terms(self) -> Iterator[tuple[Exponent, int]]:
+        """Terms in lexicographic (eq, et, es) order, as an iterator of
+        (exponent, coefficient): only the keys are sorted, so no list of
+        pairs is held."""
+        keys = sorted(self.terms)
+        return zip(keys, map(self.terms.__getitem__, keys))
 
     def evaluate(self, q: int = 1, t: int = 1, s: int = 1) -> int:
         total = 0
@@ -271,36 +274,26 @@ ONE = MultiPoly.one()
 ZERO = MultiPoly.zero()
 
 
-def _lex_terms(p: MultiPoly):
-    """The terms of p in lexicographic order, as an iterator of (exponent,
-    coefficient): only the keys are sorted, so no list of pairs is held."""
-    terms = p.terms
-    keys = sorted(terms)
-    return zip(keys, map(terms.__getitem__, keys))
-
-
-class _Powers(dict):
-    """Factor strings by exponent, seeded with {0: "", 1: "*x"}: ``*x^e`` is
-    built on first use."""
-
-    def __missing__(self, e: int) -> str:
-        text = self[e] = f"{self[1]}^{e}"
-        return text
-
-
 def poly_text(p: MultiPoly) -> str:
     """Plain-text form, terms in lexicographic order: ``1 + q*t - 2*q^2``."""
     if not p.terms:
         return "0"
-    qp, tp, sp = _Powers({0: "", 1: "*q"}), _Powers({0: "", 1: "*t"}), _Powers({0: "", 1: "*s"})
     parts: list[str] = []
-    for (eq, et, es), c in _lex_terms(p):
-        mono = qp[eq] + tp[et] + sp[es]  # each factor led by "*"
-        sign = " + " if c > 0 else " - "
+    for (eq, et, es), c in p.sorted_terms():
+        factors = []
+        for name, e in zip(VARS, (eq, et, es)):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
         mag = abs(c)
-        parts.append(sign + mono[1:] if mag == 1 and mono else f"{sign}{mag}{mono}")
-    first = parts[0]  # the leading term keeps only a minus sign
-    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        body = "*".join(factors)
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
     return "".join(parts)
 
 
@@ -314,7 +307,7 @@ def poly_to_json(p: MultiPoly) -> dict:
 
 def poly_json(p: MultiPoly) -> str:
     """``json.dumps(poly_to_json(p))``, written straight from the sorted terms."""
-    terms = ", ".join([f'{{"e": [{eq}, {et}, {es}], "c": "{c}"}}' for (eq, et, es), c in _lex_terms(p)])
+    terms = ", ".join([f'{{"e": [{eq}, {et}, {es}], "c": "{c}"}}' for (eq, et, es), c in p.sorted_terms()])
     return f'{{"vars": ["q", "t", "s"], "terms": [{terms}]}}'
 
 
