@@ -26,9 +26,9 @@ by signature and each signature's factor is formed once.
 The flags live in the containment relation, built down from each subspace
 W's RREF basis B (pivots c_1 < ... < c_k): for U in RREF, U*B equals U at the
 columns c_j and vanishes left of each row's first 1, so U*B is in RREF, and
-U -> U*B maps the subspaces of F_p^k onto those of W.  flag_series counts the
-chains of that poset by signature, one subspace at a time, and lists none;
-enumerate_flags and the canonical-basis tally walk it depth first.
+U -> U*B maps the subspaces of F_p^k onto those of W.  One chain count over
+that poset in level order, listing no flag, serves flag_series (signatures) and
+the canonical-basis tally (columns); enumerate_flags walks it depth first.
 """
 
 from __future__ import annotations
@@ -301,21 +301,6 @@ def _containment(space: FqSpace) -> Mapping[Subspace, tuple[Subspace, ...]]:
     return MappingProxyType({sub: tuple(bigs) for sub, bigs in above.items()})
 
 
-def _walk(space: FqSpace, extend: Callable[[tuple, Subspace], tuple | None]) -> Iterator[tuple]:
-    """Depth-first walk up the containment relation, one state per flag: () for
-    the empty flag, then extend(state, W) for a flag extended by W, where None
-    skips that flag and every flag through it."""
-    above = _containment(space)
-    stack = [((), ())]
-    while stack:
-        state, top = stack.pop()
-        yield state
-        for sub in reversed(above[top]):  # popped in enumeration order
-            nxt = extend(state, sub)
-            if nxt is not None:
-                stack.append((nxt, sub))
-
-
 def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[Flag]:
     """All flags (strictly increasing chains of nonzero subspaces), the empty
     flag first: a depth-first walk up from the zero subspace.  Typed spaces
@@ -327,8 +312,36 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
     if even_only and space.kind != "hyperbolic":
         raise ValueError("parity filtering needs the hyperbolic space")
     even = cache(lambda sub: metabolizer_excess(space, sub) % 2 == 0)  # once per subspace
-    chains = _walk(space, lambda chain, sub: (*chain, sub))
-    yield from (chain for chain in chains if not even_only or not chain or even(chain[-1]))
+    above = _containment(space)
+    stack: list[tuple[Flag, Subspace]] = [((), ())]
+    while stack:
+        chain, top = stack.pop()
+        if not even_only or not chain or even(top):
+            yield chain
+        for sub in reversed(above[top]):  # popped in enumeration order
+            stack.append(((*chain, sub), sub))
+
+
+def _chain_counts(space: FqSpace, extend: Callable[[tuple, Subspace], tuple | None]) -> Iterator[tuple[Subspace, dict]]:
+    """Each subspace W of the containment relation in level order, with the
+    number of flags ending at W per state, listing no flag: the zero subspace
+    holds the empty flag's state (), a flag extended by W has the state
+    extend(state, W), and None drops it with every flag through it.  When W
+    is reached, every V below it has pushed the states of the flags ending
+    at V, and those extended by W are the flags ending at W."""
+    above = _containment(space)
+    below: dict[Subspace, dict[tuple, int]] = {sub: {} for sub in above}
+    for sub, bigs in above.items():
+        counts: dict[tuple, int] = {} if sub else {(): 1}
+        for state, n in below.pop(sub).items():
+            nxt = extend(state, sub)
+            if nxt is not None:
+                counts[nxt] = counts.get(nxt, 0) + n
+        yield sub, counts
+        for big in bigs:
+            pushed = below[big]
+            for state, n in counts.items():
+                pushed[state] = pushed.get(state, 0) + n
 
 
 def _signature_sum(signatures: Mapping[tuple[int, ...], int], top: int, bound: int, with_alpha: bool) -> TruncSeries:
@@ -359,26 +372,14 @@ def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: 
 
 def _signature_counts(space: FqSpace) -> Counter[tuple[int, ...]]:
     """The number of flags of each dimension signature, the counts that
-    enumerate_flags would give, without listing a flag.
-
-    A chain count of the containment poset: the keys come in level order, so
-    when W is reached, every V below it has pushed the signatures of the
-    chains ending at V (the empty chain at the zero subspace), and those
-    extended by dim W are the chains ending at W.  For the hyperbolic space
+    enumerate_flags would give, without listing a flag: the chain counts
+    with a flag's signature extended by dim W.  For the hyperbolic space
     only the empty flag and the chains ending at even parity are counted."""
-    above = _containment(space)
     hyperbolic = space.kind == "hyperbolic"
-    below: dict[Subspace, dict[tuple[int, ...], int]] = {sub: {} for sub in above}
     total: Counter[tuple[int, ...]] = Counter()
-    for sub, bigs in above.items():
-        m = len(sub)
-        counts = {(*sig, m): n for sig, n in below.pop(sub).items()} if sub else {(): 1}
+    for sub, counts in _chain_counts(space, lambda sig, sub: (*sig, len(sub))):
         if not hyperbolic or not sub or metabolizer_excess(space, sub) % 2 == 0:
             total.update(counts)
-        for big in bigs:
-            pushed = below[big]
-            for sig, n in counts.items():
-                pushed[sig] = pushed.get(sig, 0) + n
     return total
 
 
@@ -411,18 +412,6 @@ def validate_flag(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) -> F
     return canon
 
 
-def _step(space: FqSpace, target: Sequence[Vector], cols: Sequence[int]) -> tuple[int, Vector]:
-    """One extraction step: (column, vector) of the minimal target vector vanishing at cols."""
-    avail = sorted((c for c in range(space.dim) if c not in cols), reverse=True)
-    # The pivots after the used positions span the target vectors that
-    # vanish there; with the available columns taken worst-first, the last
-    # pivot row is the minimal such vector.
-    col, vec = _eliminate(target, space.p, [*cols, *avail])[-1]
-    if col in cols:
-        raise ValueError("degenerate span: minimal vector ends at a used column")
-    return col, tuple(vec)
-
-
 def _signed_perm(space: FqSpace, cols: Sequence[int]) -> SignedPerm:
     """The length-permutation read off the columns of a whole extraction."""
     sigma = tuple(space.columns[c] for c in cols)
@@ -441,9 +430,15 @@ def _extract(space: FqSpace, chain: Flag) -> tuple[tuple[Vector, ...], SignedPer
         target = next((m for m in chain if len(m) > len(cols)), None)
         if target is None:  # past the flag (a linear space's zero forms leave the full space)
             target = nullspace([space.functional(f) for f in fs], space.dim, space.p)
-        col, vec = _step(space, target, cols)
+        avail = sorted((c for c in range(space.dim) if c not in cols), reverse=True)
+        # The pivots after the used positions span the target vectors that
+        # vanish there; with the available columns taken worst-first, the last
+        # pivot row is the minimal such vector.
+        col, vec = _eliminate(target, space.p, [*cols, *avail])[-1]
+        if col in cols:
+            raise ValueError("degenerate span: minimal vector ends at a used column")
         cols.append(col)
-        fs.append(vec)
+        fs.append(tuple(vec))
     return tuple(fs), _signed_perm(space, cols)
 
 
@@ -470,17 +465,34 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
 @lru_cache(maxsize=None)
 def _complete_flag_tally(space: FqSpace) -> Mapping[SignedPerm, int]:
     """Length-permutation tally over all complete flags of the space (read-only:
-    the cache hands it to every caller).  The walk takes one-dimension steps
-    and carries the used columns, so each step runs once per walk node."""
-    one_step = lambda cols, sub: (*cols, _step(space, sub, cols)[0]) if len(sub) == len(cols) + 1 else None
-    complete = (cols for cols in _walk(space, one_step) if len(cols) == space.iso_max)
-    return MappingProxyType(Counter(_signed_perm(space, cols) for cols in complete))
+    the cache hands it to every caller): chain counts over the columns the
+    extraction uses, read off L sets with no elimination per step.  L(V), the
+    positions that are the last nonzero coordinate of some vector of V, are
+    the pivots of an elimination taking the columns right to left.  Each step
+    takes the last position of a member vector vanishing at the used columns.
+    If those are L(V), the vectors of W (dim V + 1) vanishing there form a
+    line whose last position lies in L(W) - L(V), so by induction the step
+    from V to W adds the one element of L(W) - L(V)."""
+    last = cache(lambda sub: {c for c, _ in _eliminate(sub, space.p, range(space.dim - 1, -1, -1))})
+
+    def step(cols: tuple[int, ...], sub: Subspace) -> tuple[int, ...] | None:
+        if len(sub) != len(cols) + 1:
+            return None
+        (col,) = last(sub) - set(cols)
+        return (*cols, col)
+
+    tally: Counter[SignedPerm] = Counter()
+    for sub, counts in _chain_counts(space, step):
+        if len(sub) == space.iso_max:
+            for cols, n in counts.items():
+                tally[_signed_perm(space, cols)] += n
+    return MappingProxyType(tally)
 
 
 def count_canonical_bases(space: FqSpace, perm: SignedPerm) -> int:
     """Number of canonical bases with the given length-permutation, counted by
-    enumerating complete flags and extracting their bases (canonical bases of
-    a space are in bijection with its complete flags)."""
+    the complete-flag tally (canonical bases of a space are in bijection with
+    its complete flags)."""
     return _complete_flag_tally(space).get(tuple(perm), 0)
 
 

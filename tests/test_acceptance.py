@@ -9,8 +9,9 @@ no numeric tolerances anywhere.  Criterion grids:
   4. flag-series theorems at p in {3,5}, T = 12 (types A, C, B, D; plain and
      s-marked), plus C, B and D at p = 3, d = 3 and A at p = 2 and 3, d = 5
   5. subspace counting formulas at p in {3,5}, ambient dimension <= 6
-  6. canonical-basis cell counts (type A: S_3 at p in {2,3}, S_4 at p = 3;
-     type C: S_2^pm at p = 3, S_3^pm at p = 2; type D: D_3 at p = 3)
+  6. canonical-basis cell counts (type A: S_3 at p in {2,3}, S_4 at p = 3,
+     S_5 at p in {2,3}; type C: S_2^pm at p = 3, S_3^pm at p in {2,3},
+     S_4^pm at p = 2; type B: S_3^pm at p = 3; type D: D_3 at p = 3)
   7. symbolic closed-form identities
   8. structural properties of flags, refinements and Rothe tallies
 
@@ -109,7 +110,13 @@ def test_criterion_6_canonical_cell_counts():
     passes(checks.canonical_cell_counts("C", 2, 3))
     passes(checks.canonical_cell_counts("D", 3, 3))
     passes(checks.canonical_cell_counts("A", 3, 4))
-    report("criterion 6: canonical-basis counts p^inv (S_3, S_4) and p^length (S_2^pm, S_3^pm, D_3)", True)
+    # added points: C and B p=3 d=3, A p=2 and p=3 d=5, C p=2 d=4
+    passes(checks.canonical_cell_counts("C", 3, 3))
+    passes(checks.canonical_cell_counts("B", 3, 3))
+    passes(checks.canonical_cell_counts("A", 2, 5))
+    passes(checks.canonical_cell_counts("A", 3, 5))
+    passes(checks.canonical_cell_counts("C", 2, 4))
+    report("criterion 6: canonical-basis counts p^inv (S_3, S_4, S_5) and p^length (S_2^pm, S_3^pm, S_4^pm, D_3)", True)
 
 
 def test_criterion_7_closed_form_identities():

@@ -252,12 +252,21 @@ def test_complete_flag_tally_is_read_only():
 
 @pytest.mark.parametrize(
     "space",
-    [linear_space(2, 3), symplectic_space(3, 2), quadratic_space(3, 2), hyperbolic_space(3, 2)],
+    [
+        linear_space(2, 3),
+        linear_space(2, 4),
+        symplectic_space(3, 2),
+        symplectic_space(2, 3),
+        symplectic_space(5, 2),
+        quadratic_space(3, 2),
+        hyperbolic_space(3, 2),
+        hyperbolic_space(3, 3),
+    ],
     ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
 )
 def test_tally_matches_per_flag_extraction(space):
-    """The walk's tally equals its per-flag definition: canonical_basis of
-    every complete flag, odd ones included for the hyperbolic space."""
+    """The chain-count tally equals its per-flag definition: canonical_basis
+    of every complete flag, odd ones included for the hyperbolic space."""
     import weylmahonian.flaggeom as fg
 
     want = Counter(
@@ -280,6 +289,21 @@ def _caller_spy(monkeypatch, name):
 
     monkeypatch.setattr(fg, name, spy)
     return callers
+
+
+@pytest.mark.parametrize(
+    "space", [symplectic_space(3, 2), linear_space(2, 4)], ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}"
+)
+def test_tally_eliminates_once_per_subspace(monkeypatch, space):
+    """Once the containment relation is built, the tally reads each complete
+    flag's columns off the L sets of its members: at most one elimination
+    per nonzero subspace, not one per flag or per chain."""
+    import weylmahonian.flaggeom as fg
+
+    nonzero = len(fg._containment(space)) - 1
+    callers = _caller_spy(monkeypatch, "_eliminate")
+    fg._complete_flag_tally.__wrapped__(space)
+    assert 0 < len(callers) <= nonzero
 
 
 def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
@@ -306,7 +330,8 @@ def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
 
 def test_containment_is_read_by_walk_and_dp(monkeypatch):
     """Every flag job reaches the containment relation once, through the
-    walk or, for the series, through the signature DP."""
+    walk of enumerate_flags or, for the series and the tally, through the
+    chain count."""
     import weylmahonian.flaggeom as fg
 
     callers = _caller_spy(monkeypatch, "_containment")
@@ -315,7 +340,7 @@ def test_containment_is_read_by_walk_and_dp(monkeypatch):
     flag_series(hyp, 6)
     fg._complete_flag_tally.__wrapped__(hyp)
     flags_by_canonical_basis(sp)
-    assert callers == ["_walk", "_signature_counts", "_walk", "_walk"]
+    assert callers == ["enumerate_flags", "_chain_counts", "_chain_counts", "enumerate_flags"]
 
 
 def test_flag_series_lists_no_flag(monkeypatch):
@@ -359,7 +384,7 @@ def test_enumerate_flags_is_lazy(monkeypatch):
     callers = _caller_spy(monkeypatch, "_containment")
     flags = enumerate_flags(linear_space(2, 2))
     assert callers == []
-    assert next(flags) == () and callers == ["_walk"]
+    assert next(flags) == () and callers == ["enumerate_flags"]
 
 
 def test_parity_is_read_once_per_subspace(monkeypatch):
