@@ -192,18 +192,13 @@ class MultiPoly:
             new = [0, 0, 0]
             c = coeff
             for name, i in _VAR_INDEX.items():
-                e = exp[i]
-                if name not in assignment:
-                    new[i] += e
-                    continue
-                val = assignment[name]
+                val = assignment.get(name, name)
                 if isinstance(val, str):
-                    new[_VAR_INDEX[val]] += e
+                    new[_VAR_INDEX[val]] += exp[i]
                 else:
-                    c *= val**e
-            if c:
-                key = (new[0], new[1], new[2])
-                out[key] = out.get(key, 0) + c
+                    c *= val**exp[i]
+            key = (new[0], new[1], new[2])
+            out[key] = out.get(key, 0) + c
         return MultiPoly(out)
 
     def reciprocal_conjugate(self, dq: int, dt: int) -> "MultiPoly":

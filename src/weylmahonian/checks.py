@@ -15,6 +15,7 @@ the type-D recursion is deliberately reported rather than assumed.
 
 from __future__ import annotations
 
+import inspect
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import wraps
@@ -132,15 +133,13 @@ def _check(grid: Callable[..., list[dict]], gating: bool = True) -> Callable:
     signature order and with defaults filled in, become the report's params."""
 
     def register(fn: Callable[..., Verdict]) -> Callable[..., CheckReport]:
-        names = fn.__code__.co_varnames[: fn.__code__.co_argcount]
-        defaults = dict(zip(reversed(names), reversed(fn.__defaults__ or ())))
+        signature = inspect.signature(fn)
 
         @wraps(fn)
         def check(*args, **kwargs) -> CheckReport:
-            verdict = fn(*args, **kwargs)
-            given = dict(zip(names, args), **kwargs)
-            params = {n: given[n] if n in given else defaults[n] for n in names}
-            return CheckReport(fn.__name__, params, *verdict, gating)
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            return CheckReport(fn.__name__, call.arguments, *fn(*call.args, **call.kwargs), gating)
 
         REGISTRY[fn.__name__] = (check, grid)
         return check
@@ -167,10 +166,15 @@ def run_all(
     names: Iterable[str] | None = None, max_d=None, primes=None, trunc=None
 ) -> Iterator[CheckReport]:
     """Stream the reports of the named checks (all by default) over their
-    default grids, each computed only when it is asked for."""
+    default grids, each computed only when it is asked for.  A check that
+    raises at a point yields a failed gating report naming the exception."""
     for name in names if names is not None else REGISTRY:
         for params in default_grid(name, max_d, primes, trunc):
-            yield run_identity_check(name, params)
+            try:
+                report = run_identity_check(name, params)
+            except Exception as exc:
+                report = CheckReport(name, params, False, "", "", f"raised {type(exc).__name__}: {exc}")
+            yield report
 
 
 # -- polynomial identities ----------------------------------------------------
@@ -190,10 +194,7 @@ def direct_vs_recursive(family: str, d: int, euler: bool = False) -> Verdict:
 
 @_check(_points(d=[0, 1, 2, 3, 4]), gating=False)
 def d_euler_direct_vs_recursive(d: int) -> Verdict:
-    fam = GroupFamily("D", d)
-    lhs = statistics.mahonian_direct(fam, euler=True)
-    rhs = statistics.mahonian_recursive(fam, euler=True)
-    return _verdict(lhs, rhs)
+    return direct_vs_recursive.__wrapped__("D", d, euler=True)
 
 
 @_check(_points(d=list(range(8))))
@@ -548,7 +549,7 @@ def standard_fiber_series(p: int, d: int, trunc: int) -> Verdict:
 
     def test(bucket):
         (basis, perm), chains = bucket
-        got = flaggeom.weighted_flag_sum(chains, d, trunc)
+        got = flaggeom.weighted_flag_sum(chains, trunc)
         _, weight = flaggeom.standard_flag(perm, space.family)
         want = TruncSeries.from_poly(MultiPoly.monomial(1, et=weight), trunc)
         for j in range(1, d + 1):

@@ -344,10 +344,11 @@ def _chain_counts(space: FqSpace, extend: Callable[[tuple, Subspace], tuple | No
                 pushed[state] = pushed.get(state, 0) + n
 
 
-def _signature_sum(signatures: Mapping[tuple[int, ...], int], top: int, bound: int, with_alpha: bool) -> TruncSeries:
-    """Sum over the dimension signatures (dimensions <= top), each counted
-    its number of times, of prod_m (x t^m + x^2 t^(2m) + ...) with x = s if
-    with_alpha: each signature's product is formed once."""
+def _signature_sum(signatures: Mapping[tuple[int, ...], int], bound: int, with_alpha: bool) -> TruncSeries:
+    """Sum over the dimension signatures, each counted its number of times,
+    of prod_m (x t^m + x^2 t^(2m) + ...) with x = s if with_alpha: each
+    signature's product is formed once, from factors up to the largest m."""
+    top = max((m for signature in signatures for m in signature), default=0)
     factors = [
         TruncSeries.geometric_factor(m, with_alpha, bound) - TruncSeries.one(bound)
         for m in range(1, top + 1)
@@ -361,13 +362,13 @@ def _signature_sum(signatures: Mapping[tuple[int, ...], int], top: int, bound: i
     return total
 
 
-def weighted_flag_sum(chains: Iterable[Flag], top: int, bound: int, with_alpha: bool = False) -> TruncSeries:
-    """Sum over the chains (members of dimension <= top) of
+def weighted_flag_sum(chains: Iterable[Flag], bound: int, with_alpha: bool = False) -> TruncSeries:
+    """Sum over the chains of
     prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha.
 
     A chain's term depends only on its dimension signature, so the chains are
     counted by signature."""
-    return _signature_sum(Counter(tuple(map(len, chain)) for chain in chains), top, bound, with_alpha)
+    return _signature_sum(Counter(tuple(map(len, chain)) for chain in chains), bound, with_alpha)
 
 
 def _signature_counts(space: FqSpace) -> Counter[tuple[int, ...]]:
@@ -389,7 +390,7 @@ def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSe
 
     For the hyperbolic space the sum runs over even flags.
     """
-    return _signature_sum(_signature_counts(space), space.iso_max, bound, with_alpha)
+    return _signature_sum(_signature_counts(space), bound, with_alpha)
 
 
 # -- canonical bases ------------------------------------------------------------

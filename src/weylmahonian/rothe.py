@@ -108,12 +108,12 @@ def rothe_diagram(perm: SignedPerm, kind: str) -> RotheDiagram:
         earlier = set(perm[:i - 1])
         row: list[Cell] = []
         for k in columns:
-            row.append(_cell(kind, perm, where, i, si, earlier, k))
+            row.append(_cell(kind, where, i, si, earlier, k))
         rows.append(tuple(row))
     return RotheDiagram(kind, perm, columns, tuple(rows))
 
 
-def _cell(kind, perm, where, i, si, earlier, k) -> Cell:
+def _cell(kind, where, i, si, earlier, k) -> Cell:
     if k == 0:  # type B extra coordinate
         return ("tensor", i) if si < 0 else _ZERO
     if k == si:
@@ -124,7 +124,7 @@ def _cell(kind, perm, where, i, si, earlier, k) -> Cell:
         return _PERP
     if kind in ("B", "D") and k == -si:
         return _PERP
-    if kind != "A" and not pm_less(k, si) or kind == "A" and k > si:
+    if not pm_less(k, si):
         return _ZERO
     j = where.get(k)
     if j is not None:  # k = sigma(j) with j > i: an inversion of (i, j)

@@ -382,14 +382,16 @@ def qbinomial_theorem_sides(d: int, a: int) -> tuple[MultiPoly, MultiPoly]:
     return lhs, rhs
 
 
-CLOSED_FORM_NAMES = (
-    "a_length",
-    "a_wmaj",
-    "bc_length",
-    "bc_wmaj",
-    "d_length",
-    "d_wmaj",
-)
+# name -> the closed form at d >= 0, as closed_form's docstring states it
+_CLOSED_FORMS = {
+    "a_length": lambda d: _ratio(_qpow, range(1, d + 1), [1] * d),
+    "a_wmaj": lambda d: _ratio(_tpow, range(1, d + 1), [1] * d),
+    "bc_length": lambda d: _ratio(_qpow, range(2, 2 * d + 1, 2), [1] * d),
+    "bc_wmaj": lambda d: (1 + T) ** d * _ratio(_tpow, range(1, d + 1), [1] * d),
+    "d_length": lambda d: _ratio(_qpow, [*range(2, 2 * d - 1, 2), d], [1] * d) if d else ONE,
+    "d_wmaj": lambda d: ((1 - T) ** d + (1 + T) ** d).exact_div(2) * _ratio(_tpow, range(1, d + 1), [1] * d),
+}
+CLOSED_FORM_NAMES = tuple(_CLOSED_FORMS)
 
 
 def closed_form(name: str, d: int) -> MultiPoly:
@@ -404,18 +406,6 @@ def closed_form(name: str, d: int) -> MultiPoly:
     """
     if d < 0:
         raise ValueError("d must be >= 0")
-    ones = [1] * d
-    if name == "a_length":
-        return _ratio(_qpow, range(1, d + 1), ones)
-    if name == "a_wmaj":
-        return _ratio(_tpow, range(1, d + 1), ones)
-    if name == "bc_length":
-        return _ratio(_qpow, range(2, 2 * d + 1, 2), ones)
-    if name == "bc_wmaj":
-        return (1 + T) ** d * _ratio(_tpow, range(1, d + 1), ones)
-    if name == "d_length":
-        return _ratio(_qpow, [*range(2, 2 * d - 1, 2), d], ones) if d else ONE
-    if name == "d_wmaj":
-        half = ((1 - T) ** d + (1 + T) ** d).exact_div(2)
-        return half * _ratio(_tpow, range(1, d + 1), ones)
-    raise ValueError(f"unknown closed form {name!r}; known: {CLOSED_FORM_NAMES}")
+    if name not in _CLOSED_FORMS:
+        raise ValueError(f"unknown closed form {name!r}; known: {CLOSED_FORM_NAMES}")
+    return _CLOSED_FORMS[name](d)

@@ -80,6 +80,8 @@ def test_specialize():
         p = random_poly(rng)
         assert p.specialize(q=1, t=1, s=1) == MultiPoly.const(sum(p.terms.values()))
     assert (Q * S).specialize(s="q") == Q**2
+    for cancelled in ((Q - T).specialize(q="t"), (Q * S - Q).specialize(s=1), (S - 1).specialize(s=1)):
+        assert cancelled == MultiPoly.zero() and not cancelled.terms
 
 
 def test_evaluate():

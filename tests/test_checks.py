@@ -72,6 +72,8 @@ def test_report_carries_registry_name_and_grid_point(name):
 
 def test_positional_calls_fill_in_defaults():
     assert direct_vs_recursive("A", 3).params == {"family": "A", "d": 3, "euler": False}
+    params = direct_vs_recursive(d=3, family="A").params
+    assert list(params.items()) == [("family", "A"), ("d", 3), ("euler", False)]
     assert flag_series_theorem("C", 3, 1, 6).params["alpha"] is False
 
 

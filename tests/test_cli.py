@@ -301,6 +301,30 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     assert "FAIL" in out and "made up" in out
 
 
+def test_verify_reports_raising_checks_as_failures(capsys, monkeypatch):
+    """A check that raises fails at its point, and the later points still run."""
+    from weylmahonian import checks
+
+    def raising(error):
+        def check(d):
+            raise error(f"broken at d={d}")
+
+        return check
+
+    monkeypatch.setitem(checks.REGISTRY, "raises_value", (raising(ValueError), lambda *_: [{"d": 1}]))
+    monkeypatch.setitem(checks.REGISTRY, "raises_runtime", (raising(RuntimeError), lambda *_: [{"d": 2}]))
+    code = run(["verify", "--check", "raises_value", "--check", "raises_runtime", "--check", "rothe_worked_examples"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    assert captured.out.splitlines() == [
+        "FAIL  raises_value(d=1)  [raised ValueError: broken at d=1]",
+        "FAIL  raises_runtime(d=2)  [raised RuntimeError: broken at d=2]",
+        "PASS  rothe_worked_examples()",
+        "1 passed, 2 failed",
+    ]
+
+
 def test_enumeration_cap_reports_usage_error(capsys):
     code, _ = invoke(capsys, "mahonian", "--family", "BC", "--d", "9")
     assert code == 2

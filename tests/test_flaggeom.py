@@ -374,7 +374,7 @@ def test_signature_counts_match_the_walk(space):
     want = Counter(tuple(map(len, chain)) for chain in enumerate_flags(space))
     assert fg._signature_counts(space) == want
     for with_alpha in (False, True):
-        walked = fg.weighted_flag_sum(enumerate_flags(space), space.iso_max, 12, with_alpha)
+        walked = fg.weighted_flag_sum(enumerate_flags(space), 12, with_alpha)
         assert flag_series(space, 12, with_alpha) == walked
 
 

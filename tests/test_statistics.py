@@ -179,6 +179,18 @@ def test_closed_forms():
         closed_form("nope", 2)
 
 
+def test_closed_form_names_and_errors():
+    """The names in table order, the unknown-name message, and d checked before the name."""
+    names = ("a_length", "a_wmaj", "bc_length", "bc_wmaj", "d_length", "d_wmaj")
+    assert statistics.CLOSED_FORM_NAMES == names
+    with pytest.raises(ValueError) as unknown:
+        closed_form("nope", 2)
+    assert str(unknown.value) == f"unknown closed form 'nope'; known: {names}"
+    with pytest.raises(ValueError) as negative:
+        closed_form("nope", -1)
+    assert str(negative.value) == "d must be >= 0"
+
+
 @pytest.mark.parametrize("d", range(1, 6))
 def test_closed_forms_match_direct(d):
     assert mahonian_direct(GroupFamily("A", d)).specialize(t=1) == closed_form("a_length", d)
