@@ -392,7 +392,10 @@ class TruncSeries:
         return [MultiPoly(r) for r in rows]
 
     def coefficient(self, n: int) -> MultiPoly:
-        return self.coeffs[n]
+        """The coefficient of t^n, for 0 <= n <= bound."""
+        if not 0 <= n <= self.bound:
+            raise ValueError(f"t-degree {n} is outside 0..{self.bound}")
+        return MultiPoly({(eq, 0, es): c for (eq, et, es), c in self.poly.terms.items() if et == n})
 
     def _check_bound(self, other: "TruncSeries") -> None:
         if self.bound != other.bound:

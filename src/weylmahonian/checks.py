@@ -4,9 +4,10 @@ Each check computes its two sides independently and returns a CheckReport
 with the exact values and the first discrepancy on failure.  A check is
 declared once: the ``@_check`` decorator above its definition gives its
 default parameter grid and registers it under its function name.  The
-registry maps check names to (function, default parameter grid); the CLI
-``verify`` command runs grids from here, and the acceptance suite calls the
-functions directly with its own grids.
+registry maps check names to (function, default parameter grid), and it is
+the one place where grids are defined: the CLI ``verify`` command and the
+acceptance suite both run the grids from here.  A grid grows only by points
+appended after its existing ones.
 
 The single non-gating check is d_euler_direct_vs_recursive: whether the
 descent statistic used for the s-marking makes the direct type-D sum match
@@ -184,6 +185,9 @@ def run_all(
     *[{"family": "A", "d": d, "euler": e} for d in range(8) for e in (False, True)],
     *[{"family": "BC", "d": d, "euler": e} for d in range(6) for e in (False, True)],
     *[{"family": "D", "d": d, "euler": False} for d in range(6)],
+    *[{"family": "A", "d": d, "euler": e} for d in (8, 9, 10) for e in (False, True)],
+    *[{"family": "BC", "d": d, "euler": e} for d in (6, 7) for e in (False, True)],
+    *[{"family": "D", "d": d, "euler": False} for d in (6, 7)],
 ))
 def direct_vs_recursive(family: str, d: int, euler: bool = False) -> Verdict:
     fam = GroupFamily(family, d)
@@ -192,7 +196,7 @@ def direct_vs_recursive(family: str, d: int, euler: bool = False) -> Verdict:
     return _verdict(lhs, rhs)
 
 
-@_check(_points(d=[0, 1, 2, 3, 4]), gating=False)
+@_check(_points(d=list(range(8))), gating=False)
 def d_euler_direct_vs_recursive(d: int) -> Verdict:
     return direct_vs_recursive.__wrapped__("D", d, euler=True)
 
@@ -330,6 +334,8 @@ def generator_length_step(family: str, d: int) -> Verdict:
     *[{"family": "A", "d": d} for d in range(1, 7)],
     *[{"family": "BC", "d": d} for d in range(1, 6)],
     *[{"family": "D", "d": d} for d in range(1, 6)],
+    {"family": "BC", "d": 6},
+    {"family": "D", "d": 6},
 ))
 def length_vs_bfs(family: str, d: int) -> Verdict:
     fam = GroupFamily(family, d)
@@ -398,6 +404,9 @@ def descent_statistic_matches_coxeter(family: str, d: int) -> Verdict:
         for d in (1, 2)
         for a in (False, True)
     ],
+    *[{"kind": "A", "p": 5, "d": d, "trunc": 12, "alpha": a} for d in (1, 2, 3) for a in (False, True)],
+    *[{"kind": k, "p": 3, "d": 3, "trunc": 12, "alpha": a} for k in ("C", "B", "D") for a in (False, True)],
+    *[{"kind": "A", "p": p, "d": 5, "trunc": 12, "alpha": a} for p in (2, 3) for a in (False, True)],
 ))
 def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = False) -> Verdict:
     """Flag-series oracle against the group-statistics side.
@@ -428,7 +437,11 @@ def _subspace_count_scan(space: flaggeom.FqSpace, count: Callable) -> Verdict:
     return _scan(range(space.d + 1), test)
 
 
-@_check(_points(p=[2, 3], d=[1, 2, 3, 4]))
+@_check(_points(
+    *[{"p": p, "d": d} for p in (2, 3) for d in (1, 2, 3, 4)],
+    *[{"p": 3, "d": d} for d in (5, 6)],
+    *[{"p": 5, "d": d} for d in range(1, 7)],
+))
 def subspace_count_grassmann(p: int, d: int) -> Verdict:
     return _subspace_count_scan(flaggeom.linear_space(p, d), statistics.q_binomial)
 
@@ -436,6 +449,7 @@ def subspace_count_grassmann(p: int, d: int) -> Verdict:
 @_check(_points(
     *[{"kind": "C", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
     *[{"kind": "B", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
+    *[{"kind": "C", "p": p, "d": 3} for p in (3, 5)],
 ))
 def subspace_count_isotropic(kind: str, p: int, d: int) -> Verdict:
     """Isotropic counts in symplectic (kind C) and odd quadratic (kind B)
@@ -444,7 +458,10 @@ def subspace_count_isotropic(kind: str, p: int, d: int) -> Verdict:
     return _subspace_count_scan(space, statistics.symplectic_isotropic_count)
 
 
-@_check(_points(p=[3, 5], d=[1, 2]))
+@_check(_points(
+    *[{"p": p, "d": d} for p in (3, 5) for d in (1, 2)],
+    *[{"p": p, "d": 3} for p in (3, 5)],
+))
 def subspace_count_hyperbolic(p: int, d: int) -> Verdict:
     """Isotropic counts in the hyperbolic space, broken down by the
     metabolizer excess l."""
@@ -470,6 +487,13 @@ def subspace_count_hyperbolic(p: int, d: int) -> Verdict:
 @_check(_points(
     *[{"kind": "A", "p": p, "d": d} for p in (2, 3) for d in (1, 2, 3)],
     *[{"kind": k, "p": 3, "d": d} for k in ("C", "B", "D") for d in (1, 2)],
+    *[
+        {"kind": k, "p": p, "d": d}
+        for k, p, d in (
+            ("C", 2, 3), ("D", 3, 3), ("A", 3, 4), ("C", 3, 3),
+            ("B", 3, 3), ("A", 2, 5), ("A", 3, 5), ("C", 2, 4),
+        )
+    ],
 ))
 def canonical_cell_counts(kind: str, p: int, d: int) -> Verdict:
     """Canonical bases with a given length-permutation number p^length.
@@ -517,6 +541,8 @@ def standard_flag_generating_function(kind: str, p: int, d: int) -> Verdict:
     {"kind": "C", "p": 3, "d": 2},
     {"kind": "B", "p": 3, "d": 2},
     {"kind": "D", "p": 3, "d": 2},
+    *[{"kind": "A", "p": 5, "d": d} for d in (1, 2, 3)],
+    *[{"kind": k, "p": 5, "d": 2} for k in ("C", "B", "D")],
 ))
 def standard_weight_flags(kind: str, p: int, d: int) -> Verdict:
     """For every enumerated flag: the canonical basis reproduces the flag by

@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--prime", required=True, type=int)
     f.add_argument("--family", required=True, choices=("A", "C", "B", "D"))
     f.add_argument("--d", required=True, type=int)
-    f.add_argument("--trunc", type=int, default=DEFAULT_BOUND)
+    f.add_argument("--trunc", type=_non_negative, default=DEFAULT_BOUND)
     f.add_argument("--alpha", action="store_true", help="mark the number of weights with s")
 
     r = sub.add_parser("rothe", help="print a Rothe diagram")

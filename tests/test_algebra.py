@@ -167,6 +167,17 @@ def test_series_geometric_factor():
         TruncSeries.geometric_factor(0, False, 3)
 
 
+def test_series_coefficient_reads_one_degree(monkeypatch):
+    series = TruncSeries.from_poly(1 + Q * S * T + 3 * Q**2 * T**3, 4)
+    want = series.coeffs
+    monkeypatch.setattr(TruncSeries, "coeffs", property(lambda self: pytest.fail("coeffs rebuilt")))
+    assert [series.coefficient(n) for n in range(5)] == want
+    assert series.coefficient(3) == 3 * Q**2
+    for n in (-1, 5):
+        with pytest.raises(ValueError, match=f"t-degree {n} is outside 0..4"):
+            series.coefficient(n)
+
+
 def partitions_oracle(n, max_part):
     """Count partitions of n with all parts <= max_part, by direct recursion."""
     if n == 0:

@@ -80,14 +80,41 @@ def test_positional_calls_fill_in_defaults():
 @pytest.mark.parametrize(
     "kwargs, points, digest",
     [
-        ({}, 355, "5c06641df574c921f9a1618dce1e1aa6a6c592f0a84cd08e97b4ff24494ec21f"),
-        ({"max_d": 2}, 182, "4971f41f61127a2b8ecbf822b166a2576251ac5ae8060d841ac617123b604df5"),
-        ({"primes": [3], "trunc": 6}, 316, "83f84a11adbe14c0498b2ffe6ad0e7cdd52e87bf71fc8ad1e0a8037c9ee9187c"),
+        ({}, 414, "3a5f62cb4746b79f8c1547df2e90e73fdcc6fad19097e1e510c0e524d0e0b4ef"),
+        ({"max_d": 2}, 193, "abad4565b073a46b1ebae840830df539e2b60788d058342dfee907518448a26f"),
+        ({"primes": [3], "trunc": 6}, 350, "fc86276374ceb89ce0acab37f479e3c35b0c64e027165e006dd97daa82a68915"),
     ],
 )
 def test_registry_grids_are_pinned(kwargs, points, digest):
     grid = [[name, params] for name in REGISTRY for params in default_grid(name, **kwargs)]
     assert len(grid) == points
+    assert hashlib.sha256(json.dumps(grid).encode()).hexdigest() == digest
+
+
+# The size of each check's grid before the acceptance suite's points joined
+# the registry.  A grid grows only by appended points, so its first points
+# are still the old grid, and together they hash to the old full-grid digest.
+OLD_GRID_SIZES = {
+    "direct_vs_recursive": 34, "d_euler_direct_vs_recursive": 5, "symmetry_qt_a": 8,
+    "low_degree_agreement": 5, "a_major_equidistribution": 7, "a_length_factorization": 7,
+    "bc_length_factorization": 5, "bc_major_factorization": 5, "d_length_factorization": 5,
+    "d_wmaj_factorization": 6, "bc_reciprocal_symmetry": 5, "bc_restriction_to_unsigned": 5,
+    "qbinomial_theorem": 45, "qbinomial_recursion_vs_product": 9, "qbinomial_special_case": 9,
+    "euler_specialize_s1": 18, "central_element_identities": 5, "bc_vs_d_length_difference": 5,
+    "generator_length_step": 12, "length_vs_bfs": 16, "greedy_word_valid": 12,
+    "standard_weight_identity": 15, "descent_statistic_matches_coxeter": 8,
+    "flag_series_theorem": 36, "subspace_count_grassmann": 8, "subspace_count_isotropic": 8,
+    "subspace_count_hyperbolic": 4, "canonical_cell_counts": 12,
+    "standard_flag_generating_function": 7, "standard_weight_flags": 6,
+    "standard_fiber_series": 3, "refinement_counts": 3, "rothe_tallies": 16,
+    "rothe_worked_examples": 1,
+}
+
+
+def test_old_grids_are_prefixes_of_the_registry_grids():
+    grid = [[name, params] for name in REGISTRY for params in default_grid(name)[: OLD_GRID_SIZES.get(name, 0)]]
+    assert len(grid) == 355
+    digest = "5c06641df574c921f9a1618dce1e1aa6a6c592f0a84cd08e97b4ff24494ec21f"
     assert hashlib.sha256(json.dumps(grid).encode()).hexdigest() == digest
 
 

@@ -158,8 +158,8 @@ def test_verify_single_check(capsys):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("--all",), "76dff4e283ef1d2fc8fa94a3cc52f89f82fa3850b115eed5d92f3829072b86b0"),
-        (("--all", "--json"), "9c14cd7996f6fed90cbf8c89f98e32cfce7128fcf38ce458ba31386118d150a7"),
+        (("--all",), "b26294fef7e91c9adac766d70ea055915b0c8892e3bef79e6b622b15c4312c67"),
+        (("--all", "--json"), "0f7fbaa0a764f21ac659dd95d5d5c06069b558f4d33a7d3a3fdf67302b7dc938"),
         (
             ("--all", "--max-d", "2", "--primes", "3", "--trunc", "6", "--json"),
             "4e0bd2bc097ea5900e9c7441f1d8f00413a1c0452d50831e48c8f5ffb05c3eb5",
@@ -226,6 +226,20 @@ def test_verify_rejects_negative_bounds_before_any_check(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_flags_rejects_negative_trunc_before_any_enumeration(capsys, monkeypatch):
+    from weylmahonian import flaggeom
+
+    def no_containment(space):
+        pytest.fail("the containment relation was built")
+
+    monkeypatch.setattr(flaggeom, "_containment", no_containment)
+    code = run(["flags", "--prime", "3", "--family", "D", "--d", "4", "--trunc", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "argument --trunc: must be >= 0, got -1" in captured.err
 
 
 @pytest.mark.parametrize(
