@@ -187,6 +187,8 @@ class MultiPoly:
                 raise ValueError(f"unknown variable {name!r}")
             if isinstance(val, str) and val not in _VAR_INDEX:
                 raise ValueError(f"unknown target variable {val!r}")
+            if not isinstance(val, (int, str)):
+                raise ValueError(f"{name} must be set to an int or a variable name, got {val!r}")
         out: dict[Exponent, int] = {}
         for exp, coeff in self.terms.items():
             new = [0, 0, 0]

@@ -23,12 +23,15 @@ prod_i x*t^(dim V_i) / (1 - x*t^(dim V_i)) with x = s or 1, which depends
 on the flag only through its dimension signature, so the flags are counted
 by signature and each signature's factor is formed once.
 
-The flags live in the containment relation, built down from each subspace
-W's RREF basis B (pivots c_1 < ... < c_k): for U in RREF, U*B equals U at the
-columns c_j and vanishes left of each row's first 1, so U*B is in RREF, and
-U -> U*B maps the subspaces of F_p^k onto those of W.  One chain count over
-that poset in level order, listing no flag, serves flag_series (signatures) and
-the canonical-basis tally (columns); enumerate_flags walks it depth first.
+The subspaces of a subspace W come from W's RREF basis B (pivots
+c_1 < ... < c_k): for U in RREF, U*B equals U at the columns c_j and vanishes
+left of each row's first 1, so U*B is in RREF, and U -> U*B maps the
+subspaces of F_p^k onto those of W in enumeration order (_below).  No
+containment relation is stored: flag_series counts the flags ending at each W
+by signature, pulled from all of W's proper subspaces; the canonical-basis
+tally counts complete flags by column, pulled from W's hyperplanes one level
+at a time; enumerate_flags builds its up-sets per call and walks them depth
+first.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from functools import cache, lru_cache
 from itertools import combinations, product
 from operator import mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .algebra import MultiPoly, TruncSeries
 from .weylgroups import GroupFamily, SignedPerm, check_member, descent_set, pm_coordinates
@@ -279,40 +282,42 @@ def metabolizer_excess(space: FqSpace, rows: Subspace) -> int:
 
 
 @lru_cache(maxsize=None)
-def _containment(space: FqSpace) -> Mapping[Subspace, tuple[Subspace, ...]]:
-    """The containment relation of the subspaces a flag may contain: each one,
-    the zero subspace first, mapped to the larger ones that contain it, in
-    enumeration order.  Each W is listed above its subspaces U*B, with U over
-    the smaller subspaces of F_p^dim(W), already in RREF (module docstring),
-    so no containment is tested and a key the enumeration missed raises.  Per
-    W, each row of those U is mapped to its image row once.  It is read-only
-    because the cache hands the same mapping to every caller."""
-    p = space.p
-    levels = [tuple(enumerate_subspaces(space, m)) for m in range(space.iso_max + 1)]
-    above: dict[Subspace, list[Subspace]] = {sub: [] for level in levels for sub in level}
-    for k, level in enumerate(levels[1:], 1):
-        coords = [u for m in range(k) for u in enumerate_subspaces(linear_space(p, k), m)]
-        rows = {row for u in coords for row in u}
-        for big in level:
-            cols = tuple(zip(*big))
-            image = {row: tuple(sum(map(mul, row, col)) % p for col in cols) for row in rows}
-            for u in coords:
-                above[tuple(map(image.__getitem__, u))].append(big)
-    return MappingProxyType({sub: tuple(bigs) for sub, bigs in above.items()})
+def _coordinates(p: int, k: int, dims: Sequence[int]) -> tuple[tuple[Subspace, ...], frozenset[Vector]]:
+    """The subspaces of F_p^k with the given dimensions, dimension by
+    dimension in enumeration order, and the rows they use."""
+    coords = tuple(u for m in dims for u in enumerate_subspaces(linear_space(p, k), m))
+    return coords, frozenset(row for u in coords for row in u)
+
+
+def _below(space: FqSpace, big: Subspace, dims: Sequence[int]) -> list[Subspace]:
+    """The subspaces of big with the given dimensions, dimension by dimension
+    in enumeration order: the images U*B of the subspaces U of F_p^dim(big),
+    already in RREF (module docstring), so no containment is tested and a
+    subspace the enumeration missed raises where it is looked up.  Each row
+    of those U is mapped to its image row once."""
+    coords, rows = _coordinates(space.p, len(big), dims)
+    cols = tuple(zip(*big))
+    image = {row: tuple(sum(map(mul, row, col)) % space.p for col in cols) for row in rows}
+    return [tuple(map(image.__getitem__, u)) for u in coords]
 
 
 def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[Flag]:
     """All flags (strictly increasing chains of nonzero subspaces), the empty
-    flag first: a depth-first walk up from the zero subspace.  Typed spaces
-    restrict members to isotropic subspaces; for the hyperbolic space
-    even_only (the default) keeps only chains whose last member has even
-    parity."""
+    flag first: a depth-first walk up from the zero subspace, over up-sets
+    listed in enumeration order.  Typed spaces restrict members to isotropic
+    subspaces; for the hyperbolic space even_only (the default) keeps only
+    chains whose last member has even parity."""
     if even_only is None:
         even_only = space.kind == "hyperbolic"
     if even_only and space.kind != "hyperbolic":
         raise ValueError("parity filtering needs the hyperbolic space")
     even = cache(lambda sub: metabolizer_excess(space, sub) % 2 == 0)  # once per subspace
-    above = _containment(space)
+    above: dict[Subspace, list[Subspace]] = {(): []}
+    for k in range(1, space.iso_max + 1):
+        for big in enumerate_subspaces(space, k):
+            above[big] = []
+            for sub in _below(space, big, range(k)):
+                above[sub].append(big)
     stack: list[tuple[Flag, Subspace]] = [((), ())]
     while stack:
         chain, top = stack.pop()
@@ -320,28 +325,6 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
             yield chain
         for sub in reversed(above[top]):  # popped in enumeration order
             stack.append(((*chain, sub), sub))
-
-
-def _chain_counts(space: FqSpace, extend: Callable[[tuple, Subspace], tuple | None]) -> Iterator[tuple[Subspace, dict]]:
-    """Each subspace W of the containment relation in level order, with the
-    number of flags ending at W per state, listing no flag: the zero subspace
-    holds the empty flag's state (), a flag extended by W has the state
-    extend(state, W), and None drops it with every flag through it.  When W
-    is reached, every V below it has pushed the states of the flags ending
-    at V, and those extended by W are the flags ending at W."""
-    above = _containment(space)
-    below: dict[Subspace, dict[tuple, int]] = {sub: {} for sub in above}
-    for sub, bigs in above.items():
-        counts: dict[tuple, int] = {} if sub else {(): 1}
-        for state, n in below.pop(sub).items():
-            nxt = extend(state, sub)
-            if nxt is not None:
-                counts[nxt] = counts.get(nxt, 0) + n
-        yield sub, counts
-        for big in bigs:
-            pushed = below[big]
-            for state, n in counts.items():
-                pushed[state] = pushed.get(state, 0) + n
 
 
 def _signature_sum(signatures: Mapping[tuple[int, ...], int], bound: int, with_alpha: bool) -> TruncSeries:
@@ -371,17 +354,28 @@ def weighted_flag_sum(chains: Iterable[Flag], bound: int, with_alpha: bool = Fal
     return _signature_sum(Counter(tuple(map(len, chain)) for chain in chains), bound, with_alpha)
 
 
-def _signature_counts(space: FqSpace) -> Counter[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _signature_counts(space: FqSpace) -> Mapping[tuple[int, ...], int]:
     """The number of flags of each dimension signature, the counts that
-    enumerate_flags would give, without listing a flag: the chain counts
-    with a flag's signature extended by dim W.  For the hyperbolic space
-    only the empty flag and the chains ending at even parity are counted."""
+    enumerate_flags would give, without listing a flag (read-only: the cache
+    hands them to every caller).  The flags ending at W != 0 are those ending
+    at W's proper subspaces, the zero subspace holding the empty flag, each
+    extended by W: their signatures are merged, then dim W is appended.  For
+    the hyperbolic space only the empty flag and the chains ending at even
+    parity are counted."""
     hyperbolic = space.kind == "hyperbolic"
-    total: Counter[tuple[int, ...]] = Counter()
-    for sub, counts in _chain_counts(space, lambda sig, sub: (*sig, len(sub))):
-        if not hyperbolic or not sub or metabolizer_excess(space, sub) % 2 == 0:
-            total.update(counts)
-    return total
+    ending: dict[Subspace, dict[tuple[int, ...], int]] = {(): {(): 1}}
+    total: Counter[tuple[int, ...]] = Counter({(): 1})
+    for k in range(1, space.iso_max + 1):
+        for sub in enumerate_subspaces(space, k):
+            merged: dict[tuple[int, ...], int] = {}
+            for below in _below(space, sub, range(k)):
+                for sig, n in ending[below].items():
+                    merged[sig] = merged.get(sig, 0) + n
+            ending[sub] = counts = {(*sig, k): n for sig, n in merged.items()}
+            if not hyperbolic or metabolizer_excess(space, sub) % 2 == 0:
+                total.update(counts)
+    return MappingProxyType(total)
 
 
 def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSeries:
@@ -466,28 +460,29 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
 @lru_cache(maxsize=None)
 def _complete_flag_tally(space: FqSpace) -> Mapping[SignedPerm, int]:
     """Length-permutation tally over all complete flags of the space (read-only:
-    the cache hands it to every caller): chain counts over the columns the
+    the cache hands it to every caller), counted by the columns the
     extraction uses, read off L sets with no elimination per step.  L(V), the
     positions that are the last nonzero coordinate of some vector of V, are
     the pivots of an elimination taking the columns right to left.  Each step
     takes the last position of a member vector vanishing at the used columns.
     If those are L(V), the vectors of W (dim V + 1) vanishing there form a
     line whose last position lies in L(W) - L(V), so by induction the step
-    from V to W adds the one element of L(W) - L(V)."""
-    last = cache(lambda sub: {c for c, _ in _eliminate(sub, space.p, range(space.dim - 1, -1, -1))})
-
-    def step(cols: tuple[int, ...], sub: Subspace) -> tuple[int, ...] | None:
-        if len(sub) != len(cols) + 1:
-            return None
-        (col,) = last(sub) - set(cols)
-        return (*cols, col)
-
-    tally: Counter[SignedPerm] = Counter()
-    for sub, counts in _chain_counts(space, step):
-        if len(sub) == space.iso_max:
-            for cols, n in counts.items():
-                tally[_signed_perm(space, cols)] += n
-    return MappingProxyType(tally)
+    from V to W adds the one element of L(W) - L(V).  The flags ending at W
+    are pulled from W's hyperplanes, one level at a time."""
+    level: dict[Subspace, tuple[set[int], dict[tuple[int, ...], int]]] = {(): (set(), {(): 1})}
+    tally: dict[tuple[int, ...], int] = {}
+    for k in range(1, space.iso_max + 1):
+        prev, level = level, {}
+        for sub in enumerate_subspaces(space, k):
+            last = {c for c, _ in _eliminate(sub, space.p, range(space.dim - 1, -1, -1))}
+            counts = tally if k == space.iso_max else {}
+            for below in _below(space, sub, (k - 1,)):
+                below_last, states = prev[below]
+                (col,) = last - below_last
+                for cols, n in states.items():
+                    counts[(*cols, col)] = counts.get((*cols, col), 0) + n
+            level[sub] = last, counts
+    return MappingProxyType({_signed_perm(space, cols): n for cols, n in tally.items()})
 
 
 def count_canonical_bases(space: FqSpace, perm: SignedPerm) -> int:

@@ -84,7 +84,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .algebra import ONE, ZERO, MultiPoly, T
-from .weylgroups import GroupFamily, max_length, pm_coordinates
+from .weylgroups import GroupFamily, capped_count, max_length, pm_coordinates
 
 # Largest packed result (rows x digits per row x bits per digit) that
 # mahonian_recursive builds: 6.25 MB.  BC d=16 with s takes 47,884,240.
@@ -172,10 +172,10 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
     Raises ValueError, before any arithmetic, if the DP has more than
     DIRECT_MAX_STATES states."""
     d, tag = fam.d, fam.tag
-    states = _direct_states(fam)
+    states, text = capped_count(_direct_states, fam, DIRECT_MAX_STATES)
     if states > DIRECT_MAX_STATES:
         raise ValueError(
-            f"the direct sum for {tag} d={d} walks {states} prefix states, over the cap "
+            f"the direct sum for {tag} d={d} walks {text} prefix states, over the cap "
             f"{DIRECT_MAX_STATES}; lower --d or use --method recur"
         )
     top = d - 1 if tag == "A" else d

@@ -22,7 +22,7 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 SignedPerm = tuple[int, ...]
 
@@ -173,9 +173,22 @@ def descent_count(perm: SignedPerm) -> int:
     return len(descent_set(perm))
 
 
+def capped_count(count: Callable[[GroupFamily], int], fam: GroupFamily, cap: int) -> tuple[int, str]:
+    """count(fam), or, if a lower rank of its family counts over cap, the
+    first such count, with the text a message prints for it ("at least" then
+    comes first).  The counts rise with the rank, so the result is over cap
+    exactly when count(fam) is, and no number past the first one over cap is
+    formed."""
+    for r in range(fam.d + 1):
+        n = count(GroupFamily(fam.tag, r))
+        if r == fam.d or n > cap:
+            return n, str(n) if r == fam.d else f"at least {n}"
+
+
 def _check_order(fam: GroupFamily) -> None:
-    if fam.order() > ENUM_MAX_ORDER:
-        raise ValueError(f"type-{fam.tag} group of order {fam.order()} over the enumeration cap {ENUM_MAX_ORDER}")
+    order, text = capped_count(GroupFamily.order, fam, ENUM_MAX_ORDER)
+    if order > ENUM_MAX_ORDER:
+        raise ValueError(f"type-{fam.tag} group of order {text} over the enumeration cap {ENUM_MAX_ORDER}")
 
 
 def enumerate_group(fam: GroupFamily) -> Iterator[SignedPerm]:

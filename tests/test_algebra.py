@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -82,6 +83,14 @@ def test_specialize():
     assert (Q * S).specialize(s="q") == Q**2
     for cancelled in ((Q - T).specialize(q="t"), (Q * S - Q).specialize(s=1), (S - 1).specialize(s=1)):
         assert cancelled == MultiPoly.zero() and not cancelled.terms
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, Fraction(1, 2), None, (1,)])
+def test_specialize_refuses_a_non_integer_value(value):
+    """Coefficients stay integers: a value that is neither an int nor a
+    variable name is refused before any term is built."""
+    with pytest.raises(ValueError, match="must be set to an int or a variable name"):
+        ((1 + Q) * (1 + T)).specialize(q=value)
 
 
 def test_evaluate():

@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,6 +12,7 @@ import time
 import pytest
 
 import weylmahonian
+from weylmahonian import checks
 from weylmahonian.algebra import poly_from_json, poly_text
 from weylmahonian.cli import run
 from weylmahonian.statistics import mahonian_direct
@@ -167,12 +171,27 @@ def test_verify_single_check(capsys):
         (("--list",), "49173c090f61701e961a25078c8f8c914eeb13ae1e256d8c8d895c7b2508639b"),
     ],
 )
-def test_verify_output_is_pinned(capsys, argv, digest):
+def test_verify_output_is_pinned(capsys, monkeypatch, argv, digest):
     """SHA-256 of the verify stdout: every report's text or JSON line, and the
-    check list."""
-    code, out = invoke(capsys, "verify", *argv)
+    check list.  The --all grid is computed once, by the --json run; the text
+    run renders the reports rebuilt from its lines."""
+    if argv == ("--all", "--json"):
+        code, out = 0, _verify_all_json()
+    else:
+        if argv == ("--all",):
+            reports = [checks.CheckReport(**json.loads(line)) for line in _verify_all_json().splitlines()]
+            monkeypatch.setattr(checks, "run_all", lambda *args, **kwargs: iter(reports))
+        code, out = invoke(capsys, "verify", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@functools.cache
+def _verify_all_json() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(["verify", "--all", "--json"]) == 0
+    return out.getvalue()
 
 
 def test_verify_json(capsys):
@@ -231,10 +250,11 @@ def test_verify_rejects_negative_bounds_before_any_check(capsys, argv, message):
 def test_flags_rejects_negative_trunc_before_any_enumeration(capsys, monkeypatch):
     from weylmahonian import flaggeom
 
-    def no_containment(space):
-        pytest.fail("the containment relation was built")
+    def no_enumeration(*args):
+        pytest.fail("a subspace was enumerated")
 
-    monkeypatch.setattr(flaggeom, "_containment", no_containment)
+    monkeypatch.setattr(flaggeom, "_below", no_enumeration)
+    monkeypatch.setattr(flaggeom, "enumerate_subspaces", no_enumeration)
     code = run(["flags", "--prime", "3", "--family", "D", "--d", "4", "--trunc", "-1"])
     captured = capsys.readouterr()
     assert code == 2
@@ -344,7 +364,7 @@ def test_enumeration_cap_reports_usage_error(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("family, d", [("A", 11), ("BC", 8), ("D", 8), ("A", 500)])
+@pytest.mark.parametrize("family, d", [("A", 11), ("BC", 8), ("D", 8), ("A", 500), ("A", 20000), ("BC", 10**7)])
 def test_direct_work_guard_reports_usage_error(capsys, family, d):
     start = time.perf_counter()
     code = run(["mahonian", "--family", family, "--d", str(d), "--method", "enum", "--euler"])

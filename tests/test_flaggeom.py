@@ -295,12 +295,12 @@ def _caller_spy(monkeypatch, name):
     "space", [symplectic_space(3, 2), linear_space(2, 4)], ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}"
 )
 def test_tally_eliminates_once_per_subspace(monkeypatch, space):
-    """Once the containment relation is built, the tally reads each complete
-    flag's columns off the L sets of its members: at most one elimination
-    per nonzero subspace, not one per flag or per chain."""
+    """The tally reads each complete flag's columns off the L sets of its
+    members: at most one elimination per nonzero subspace, not one per flag
+    or per chain."""
     import weylmahonian.flaggeom as fg
 
-    nonzero = len(fg._containment(space)) - 1
+    nonzero = sum(1 for m in range(1, space.iso_max + 1) for _ in enumerate_subspaces(space, m))
     callers = _caller_spy(monkeypatch, "_eliminate")
     fg._complete_flag_tally.__wrapped__(space)
     assert 0 < len(callers) <= nonzero
@@ -329,18 +329,20 @@ def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
 
 
 def test_containment_is_read_by_walk_and_dp(monkeypatch):
-    """Every flag job reaches the containment relation once, through the
-    walk of enumerate_flags or, for the series and the tally, through the
-    chain count."""
+    """Every flag job finds the subspaces below each subspace through _below:
+    the walk of enumerate_flags, the signature counts of the series and the
+    tally, one job after the other."""
     import weylmahonian.flaggeom as fg
 
-    callers = _caller_spy(monkeypatch, "_containment")
+    fg._signature_counts.cache_clear()
+    callers = _caller_spy(monkeypatch, "_below")
     sp, hyp = linear_space(2, 3), hyperbolic_space(3, 2)
     list(enumerate_flags(hyp))
     flag_series(hyp, 6)
     fg._complete_flag_tally.__wrapped__(hyp)
     flags_by_canonical_basis(sp)
-    assert callers == ["enumerate_flags", "_chain_counts", "_chain_counts", "enumerate_flags"]
+    jobs = [name for i, name in enumerate(callers) if not i or callers[i - 1] != name]
+    assert jobs == ["enumerate_flags", "_signature_counts", "_complete_flag_tally", "enumerate_flags"]
 
 
 def test_flag_series_lists_no_flag(monkeypatch):
@@ -381,10 +383,10 @@ def test_signature_counts_match_the_walk(space):
 def test_enumerate_flags_is_lazy(monkeypatch):
     """Nothing is built before the first next()."""
     assert inspect.isgeneratorfunction(enumerate_flags)
-    callers = _caller_spy(monkeypatch, "_containment")
+    callers = _caller_spy(monkeypatch, "_below")
     flags = enumerate_flags(linear_space(2, 2))
     assert callers == []
-    assert next(flags) == () and callers == ["enumerate_flags"]
+    assert next(flags) == () and callers and set(callers) == {"enumerate_flags"}
 
 
 def test_parity_is_read_once_per_subspace(monkeypatch):
@@ -400,6 +402,7 @@ def test_parity_is_read_once_per_subspace(monkeypatch):
     assert list(enumerate_flags(sp)) == want
     assert seen and max(seen.values()) == 1
     seen.clear()
+    fg._signature_counts.cache_clear()
     flag_series(sp, 6)
     assert seen and max(seen.values()) == 1
 
@@ -484,11 +487,11 @@ def test_space_for_family():
 
 
 def test_second_flag_walk_runs_no_containment_test(monkeypatch):
-    """A space's containment relation is built once: the s-marked series of a
+    """A space's signature counts are built once: the s-marked series of a
     space whose plain series is already known enumerates no subspace again."""
     import weylmahonian.flaggeom as fg
 
-    fg._containment.cache_clear()
+    fg._signature_counts.cache_clear()
     real, calls = fg.enumerate_subspaces, []
     monkeypatch.setattr(fg, "enumerate_subspaces", lambda *args: calls.append(args) or real(*args))
     space = symplectic_space(3, 2)
@@ -504,25 +507,22 @@ def test_second_flag_walk_runs_no_containment_test(monkeypatch):
     ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
 )
 def test_containment_matches_pairwise_definition(space):
-    """The downward build lists, for every subspace a flag may contain, the
-    larger ones that subspace_le finds containing it, in enumeration order."""
+    """_below lists, for every subspace a flag may contain, the smaller ones
+    that subspace_le finds contained in it, in enumeration order."""
     import weylmahonian.flaggeom as fg
 
-    levels = [list(enumerate_subspaces(space, m)) for m in range(space.iso_max + 1)]
-    pairwise = {
-        sub: tuple(big for level in levels[m + 1 :] for big in level if subspace_le(sub, big, space.p))
-        for m, level in enumerate(levels)
-        for sub in level
-    }
-    assert list(fg._containment(space).items()) == list(pairwise.items())
+    subspaces = [sub for m in range(space.iso_max + 1) for sub in enumerate_subspaces(space, m)]
+    for big in subspaces:
+        pairwise = [sub for sub in subspaces if len(sub) < len(big) and subspace_le(sub, big, space.p)]
+        assert fg._below(space, big, range(len(big))) == pairwise
 
 
 def test_flag_series_tests_no_containment(monkeypatch):
-    """Building the containment relation from each subspace's own basis makes
-    no subspace_le call."""
+    """Finding each subspace's subspaces from its own basis makes no
+    subspace_le call."""
     import weylmahonian.flaggeom as fg
 
-    fg._containment.cache_clear()
+    fg._signature_counts.cache_clear()
     real, calls = fg.subspace_le, []
     monkeypatch.setattr(fg, "subspace_le", lambda *args: calls.append(args) or real(*args))
     flag_series(symplectic_space(7, 2), 12)

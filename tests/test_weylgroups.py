@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import time
 from math import comb, factorial
 
 import pytest
@@ -125,6 +126,15 @@ def test_enumerate_group_is_a_generator():
 def test_enumerate_group_cap():
     with pytest.raises(ValueError):
         next(enumerate_group(GroupFamily("BC", 7)))
+
+
+def test_enumeration_cap_refuses_a_huge_rank_at_once():
+    """The cap is decided without forming the order of a huge group (100000!
+    has 456,574 digits, too many to print)."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"^type-A group of order at least 362880 over the enumeration cap 46080$"):
+        next(enumerate_group(GroupFamily("A", 100000)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_enumeration_cap_bounds_group_order():
