@@ -272,25 +272,21 @@ ZERO = MultiPoly.zero()
 
 
 def poly_text(p: MultiPoly) -> str:
-    """Plain-text form, terms in lexicographic order: ``1 + q*t - 2*q^2``."""
+    """Plain-text form, terms in lexicographic order: ``1 + q*t - 2*q^2``.
+    Each variable's factor (``*q^2``) is written once per exponent in use."""
     if not p.terms:
         return "0"
+    fq, ft, fs = (
+        {e: f"*{name}^{e}" if e > 1 else f"*{name}" if e else "" for e in {key[i] for key in p.terms}}
+        for i, name in enumerate(VARS)
+    )
     parts: list[str] = []
     for (eq, et, es), c in p.sorted_terms():
-        factors = []
-        for name, e in zip(VARS, (eq, et, es)):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
+        mono = fq[eq] + ft[et] + fs[es]
         mag = abs(c)
-        if mag != 1 or not factors:
-            factors.insert(0, str(mag))
-        body = "*".join(factors)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
+        parts.append((" + " if c > 0 else " - ") + (f"{mag}{mono}" if mag != 1 or not mono else mono[1:]))
+    first = parts[0]
+    parts[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(parts)
 
 

@@ -32,17 +32,33 @@ by signature, pulled from all of W's proper subspaces; the canonical-basis
 tally counts complete flags by column, pulled from W's hyperplanes one level
 at a time; enumerate_flags builds its up-sets per call and walks them depth
 first.
+
+All three key their dicts by bytes, one byte per coordinate of the RREF rows
+(_key), and _below returns the same bytes for each image.  It packs B's rows
+as ints with one digit per coordinate and caches each U as its k columns,
+each an int with one n-digit block per row of U; U*B is then the sum of k
+products, one digit per entry.  An entry sums k products of residues, so
+before reduction it is at most k(p-1)^2, and a digit is the fewest bytes (a
+power of two) that hold that bound: one byte for every p <= 7 up to k = 7,
+two for p = 7 at k >= 8, p = 11 at k >= 3 and p = 13 at k >= 2.  The digits
+are written out with one to_bytes and reduced mod p without a Python-level
+loop: bytes.translate for one-byte digits, struct.unpack and a map for wider
+ones.  The signature counts of the flags ending at W are one int with a
+w-bit slot per signature; w is the bit length of prod_m C(n, m) p^(m(n-m)),
+which bounds every count before any is formed (_signature_counts).
 """
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from itertools import combinations, product
+from math import comb, prod
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .algebra import MultiPoly, TruncSeries
 from .weylgroups import GroupFamily, SignedPerm, check_member, descent_set, pm_coordinates
@@ -281,24 +297,60 @@ def metabolizer_excess(space: FqSpace, rows: Subspace) -> int:
 # -- flags ---------------------------------------------------------------------
 
 
+def _key(sub: Subspace) -> bytes:
+    """The dict key of a subspace: its RREF rows, one byte per coordinate."""
+    return b"".join(map(bytes, sub))
+
+
+def _pack(values: Sequence[int], stride: int) -> int:
+    """The residues as one int, values[i] in byte i * stride (little-endian)."""
+    buf = bytearray(stride * len(values))
+    buf[::stride] = bytes(values)
+    return int.from_bytes(buf, "little")
+
+
+def _wide_residues(p: int, width: int, raw: bytes) -> bytes:
+    """One byte per digit of raw, little-endian digits of width bytes, each
+    reduced mod p."""
+    letter = {2: "H", 4: "I", 8: "Q"}[width]
+    return bytes(map(p.__rmod__, struct.unpack(f"<{len(raw) // width}{letter}", raw)))
+
+
 @lru_cache(maxsize=None)
-def _coordinates(p: int, k: int, dims: Sequence[int]) -> tuple[tuple[Subspace, ...], frozenset[Vector]]:
-    """The subspaces of F_p^k with the given dimensions, dimension by
-    dimension in enumeration order, and the rows they use."""
-    coords = tuple(u for m in dims for u in enumerate_subspaces(linear_space(p, k), m))
-    return coords, frozenset(row for u in coords for row in u)
+def _coordinates(
+    p: int, k: int, n: int, dims: Sequence[int]
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int, bytes | Callable[[bytes], bytes]]:
+    """The subspaces U of F_p^k with the given dimensions, dimension by
+    dimension in enumeration order, each as its k columns packed one n-digit
+    block per row, with the byte length of its image; the bytes per digit,
+    the fewest (a power of two) that hold an unreduced image entry, at most
+    k(p-1)^2; and the reduction of an image to its key: a bytes.translate
+    table for one-byte digits, else a function."""
+    width = 1
+    while k * (p - 1) ** 2 >= 256**width:
+        width *= 2
+    coords = tuple(
+        (tuple(_pack(col, width * n) for col in zip(*u)), width * n * len(u))
+        for m in dims
+        for u in enumerate_subspaces(linear_space(p, k), m)
+    )
+    if width == 1:
+        return coords, width, bytes(v % p for v in range(256))
+    return coords, width, partial(_wide_residues, p, width)
 
 
-def _below(space: FqSpace, big: Subspace, dims: Sequence[int]) -> list[Subspace]:
-    """The subspaces of big with the given dimensions, dimension by dimension
-    in enumeration order: the images U*B of the subspaces U of F_p^dim(big),
-    already in RREF (module docstring), so no containment is tested and a
-    subspace the enumeration missed raises where it is looked up.  Each row
-    of those U is mapped to its image row once."""
-    coords, rows = _coordinates(space.p, len(big), dims)
-    cols = tuple(zip(*big))
-    image = {row: tuple(sum(map(mul, row, col)) % space.p for col in cols) for row in rows}
-    return [tuple(map(image.__getitem__, u)) for u in coords]
+def _below(space: FqSpace, big: Subspace, dims: Sequence[int]) -> list[bytes]:
+    """The keys of the subspaces of big with the given dimensions, dimension
+    by dimension in enumeration order: the images U*B of the subspaces U of
+    F_p^dim(big), already in RREF (module docstring), so no containment is
+    tested and a subspace the enumeration missed raises where it is looked
+    up.  With B's rows packed one digit per coordinate, U*B is the sum of
+    U's packed columns times B's rows, one digit per entry, reduced mod p."""
+    coords, width, reduce = _coordinates(space.p, len(big), space.dim, dims)
+    rows = [_pack(row, width) for row in big]
+    if width == 1:
+        return [sum(map(mul, cols, rows)).to_bytes(size, "little").translate(reduce) for cols, size in coords]
+    return [reduce(sum(map(mul, cols, rows)).to_bytes(size, "little")) for cols, size in coords]
 
 
 def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[Flag]:
@@ -312,19 +364,20 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
     if even_only and space.kind != "hyperbolic":
         raise ValueError("parity filtering needs the hyperbolic space")
     even = cache(lambda sub: metabolizer_excess(space, sub) % 2 == 0)  # once per subspace
-    above: dict[Subspace, list[Subspace]] = {(): []}
+    above: dict[bytes, list[tuple[Subspace, bytes]]] = {b"": []}  # key -> (larger subspace, its key)
     for k in range(1, space.iso_max + 1):
         for big in enumerate_subspaces(space, k):
-            above[big] = []
+            key = _key(big)
+            above[key] = []
             for sub in _below(space, big, range(k)):
-                above[sub].append(big)
-    stack: list[tuple[Flag, Subspace]] = [((), ())]
+                above[sub].append((big, key))
+    stack: list[tuple[Flag, bytes]] = [((), b"")]
     while stack:
         chain, top = stack.pop()
-        if not even_only or not chain or even(top):
+        if not even_only or not chain or even(chain[-1]):
             yield chain
-        for sub in reversed(above[top]):  # popped in enumeration order
-            stack.append(((*chain, sub), sub))
+        for sub, key in reversed(above[top]):  # popped in enumeration order
+            stack.append(((*chain, sub), key))
 
 
 def _signature_sum(signatures: Mapping[tuple[int, ...], int], bound: int, with_alpha: bool) -> TruncSeries:
@@ -360,22 +413,33 @@ def _signature_counts(space: FqSpace) -> Mapping[tuple[int, ...], int]:
     enumerate_flags would give, without listing a flag (read-only: the cache
     hands them to every caller).  The flags ending at W != 0 are those ending
     at W's proper subspaces, the zero subspace holding the empty flag, each
-    extended by W: their signatures are merged, then dim W is appended.  For
-    the hyperbolic space only the empty flag and the chains ending at even
-    parity are counted."""
+    extended by W.  The counts of the flags ending at W are one int, with a
+    w-bit slot per signature at w * (its bitmask of dimensions, bit m-1 for
+    dim m): merging is a sum and appending dim W a left shift.  No flag count
+    reaches prod_m C(n, m) p^(m(n-m)), a bound on the product of the numbers
+    of subspaces of each dimension (RREF pivots and free entries), so no slot
+    carries.  For the hyperbolic space only the empty flag and the chains
+    ending at even parity are counted."""
+    top, n, p = space.iso_max, space.dim, space.p
+    w = prod(comb(n, m) * p ** (m * (n - m)) for m in range(1, top + 1)).bit_length()
     hyperbolic = space.kind == "hyperbolic"
-    ending: dict[Subspace, dict[tuple[int, ...], int]] = {(): {(): 1}}
-    total: Counter[tuple[int, ...]] = Counter({(): 1})
-    for k in range(1, space.iso_max + 1):
+    ending = {b"": 1}  # key -> packed counts of the flags ending there
+    total = 1
+    for k in range(1, top + 1):
         for sub in enumerate_subspaces(space, k):
-            merged: dict[tuple[int, ...], int] = {}
-            for below in _below(space, sub, range(k)):
-                for sig, n in ending[below].items():
-                    merged[sig] = merged.get(sig, 0) + n
-            ending[sub] = counts = {(*sig, k): n for sig, n in merged.items()}
+            counts = sum(map(ending.__getitem__, _below(space, sub, range(k)))) << (w << (k - 1))
+            if k < top:  # nothing is pulled from the top level
+                ending[_key(sub)] = counts
             if not hyperbolic or metabolizer_excess(space, sub) % 2 == 0:
-                total.update(counts)
-    return MappingProxyType(total)
+                total += counts
+    slot = (1 << w) - 1
+    return MappingProxyType(
+        {
+            tuple(m for m in range(1, top + 1) if mask >> (m - 1) & 1): count
+            for mask in range(1 << top)
+            if (count := total >> (w * mask) & slot)
+        }
+    )
 
 
 def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSeries:
@@ -469,7 +533,7 @@ def _complete_flag_tally(space: FqSpace) -> Mapping[SignedPerm, int]:
     line whose last position lies in L(W) - L(V), so by induction the step
     from V to W adds the one element of L(W) - L(V).  The flags ending at W
     are pulled from W's hyperplanes, one level at a time."""
-    level: dict[Subspace, tuple[set[int], dict[tuple[int, ...], int]]] = {(): (set(), {(): 1})}
+    level: dict[bytes, tuple[set[int], dict[tuple[int, ...], int]]] = {b"": (set(), {(): 1})}
     tally: dict[tuple[int, ...], int] = {}
     for k in range(1, space.iso_max + 1):
         prev, level = level, {}
@@ -481,7 +545,7 @@ def _complete_flag_tally(space: FqSpace) -> Mapping[SignedPerm, int]:
                 (col,) = last - below_last
                 for cols, n in states.items():
                     counts[(*cols, col)] = counts.get((*cols, col), 0) + n
-            level[sub] = last, counts
+            level[_key(sub)] = last, counts
     return MappingProxyType({_signed_perm(space, cols): n for cols, n in tally.items()})
 
 

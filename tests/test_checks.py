@@ -77,6 +77,14 @@ def test_positional_calls_fill_in_defaults():
     assert flag_series_theorem("C", 3, 1, 6).params["alpha"] is False
 
 
+@pytest.mark.parametrize("kind, p, d", [("C", 13, 2), ("B", 13, 2), ("D", 13, 2), ("A", 11, 3), ("A", 13, 2)])
+def test_flag_series_theorem_with_wide_image_digits(kind, p, d):
+    """Spaces where k(p-1)^2, the bound on an unreduced image entry, reaches
+    256, so their subspace images are computed with two-byte digits."""
+    rep = flag_series_theorem(kind, p, d, 6)
+    assert rep.passed, rep.discrepancy
+
+
 @pytest.mark.parametrize(
     "kwargs, points, digest",
     [

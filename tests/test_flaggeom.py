@@ -364,6 +364,7 @@ def test_flag_series_lists_no_flag(monkeypatch):
         hyperbolic_space(3, 2),
         hyperbolic_space(3, 3),
         symplectic_space(7, 2),
+        linear_space(11, 3),
     ],
     ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
 )
@@ -503,7 +504,14 @@ def test_second_flag_walk_runs_no_containment_test(monkeypatch):
 
 @pytest.mark.parametrize(
     "space",
-    [linear_space(2, 3), linear_space(3, 3), symplectic_space(3, 2), quadratic_space(3, 2), hyperbolic_space(3, 2)],
+    [
+        linear_space(2, 3),
+        linear_space(3, 3),
+        symplectic_space(3, 2),
+        quadratic_space(3, 2),
+        hyperbolic_space(3, 2),
+        linear_space(13, 2),
+    ],
     ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
 )
 def test_containment_matches_pairwise_definition(space):
@@ -514,7 +522,18 @@ def test_containment_matches_pairwise_definition(space):
     subspaces = [sub for m in range(space.iso_max + 1) for sub in enumerate_subspaces(space, m)]
     for big in subspaces:
         pairwise = [sub for sub in subspaces if len(sub) < len(big) and subspace_le(sub, big, space.p)]
-        assert fg._below(space, big, range(len(big))) == pairwise
+        assert fg._below(space, big, range(len(big))) == [fg._key(v) for v in pairwise]
+
+
+def test_images_wider_than_a_byte_match_pairwise_definition():
+    """The line of (1, 12, 12) in F_13^3 maps into this W with last entry
+    12 + 2 * 12 * 12 = 300 before reduction, more than a byte holds."""
+    import weylmahonian.flaggeom as fg
+
+    space = linear_space(13, 4)
+    big = ((1, 0, 0, 12), (0, 1, 0, 12), (0, 0, 1, 12))
+    pairwise = [sub for m in (0, 1) for sub in enumerate_subspaces(space, m) if subspace_le(sub, big, 13)]
+    assert fg._below(space, big, (0, 1)) == [fg._key(v) for v in pairwise]
 
 
 def test_flag_series_tests_no_containment(monkeypatch):
