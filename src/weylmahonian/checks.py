@@ -166,10 +166,11 @@ def default_grid(name: str, max_d=None, primes=None, trunc=None) -> list[dict]:
 def run_all(
     names: Iterable[str] | None = None, max_d=None, primes=None, trunc=None
 ) -> Iterator[CheckReport]:
-    """Stream the reports of the named checks (all by default) over their
-    default grids, each computed only when it is asked for.  A check that
-    raises at a point yields a failed gating report naming the exception."""
-    for name in names if names is not None else REGISTRY:
+    """Stream the reports of the named checks (all by default; a repeated
+    name runs once, where first given) over their default grids, each
+    computed only when it is asked for.  A check that raises at a point
+    yields a failed gating report naming the exception."""
+    for name in REGISTRY if names is None else dict.fromkeys(names):
         for params in default_grid(name, max_d, primes, trunc):
             try:
                 report = run_identity_check(name, params)

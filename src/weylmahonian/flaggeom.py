@@ -53,10 +53,10 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 from itertools import combinations, product
 from math import comb, prod
-from operator import mul
+from operator import methodcaller, mul, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -319,13 +319,13 @@ def _wide_residues(p: int, width: int, raw: bytes) -> bytes:
 @lru_cache(maxsize=None)
 def _coordinates(
     p: int, k: int, n: int, dims: Sequence[int]
-) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int, bytes | Callable[[bytes], bytes]]:
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], int, Callable[[bytes], bytes]]:
     """The subspaces U of F_p^k with the given dimensions, dimension by
     dimension in enumeration order, each as its k columns packed one n-digit
     block per row, with the byte length of its image; the bytes per digit,
     the fewest (a power of two) that hold an unreduced image entry, at most
-    k(p-1)^2; and the reduction of an image to its key: a bytes.translate
-    table for one-byte digits, else a function."""
+    k(p-1)^2; and the reduction of an image to its key: bytes.translate for
+    one-byte digits, else struct.unpack and a map."""
     width = 1
     while k * (p - 1) ** 2 >= 256**width:
         width *= 2
@@ -335,7 +335,7 @@ def _coordinates(
         for u in enumerate_subspaces(linear_space(p, k), m)
     )
     if width == 1:
-        return coords, width, bytes(v % p for v in range(256))
+        return coords, width, methodcaller("translate", bytes(v % p for v in range(256)))
     return coords, width, partial(_wide_residues, p, width)
 
 
@@ -346,11 +346,9 @@ def _below(space: FqSpace, big: Subspace, dims: Sequence[int]) -> list[bytes]:
     tested and a subspace the enumeration missed raises where it is looked
     up.  With B's rows packed one digit per coordinate, U*B is the sum of
     U's packed columns times B's rows, one digit per entry, reduced mod p."""
-    coords, width, reduce = _coordinates(space.p, len(big), space.dim, dims)
+    coords, width, residues = _coordinates(space.p, len(big), space.dim, dims)
     rows = [_pack(row, width) for row in big]
-    if width == 1:
-        return [sum(map(mul, cols, rows)).to_bytes(size, "little").translate(reduce) for cols, size in coords]
-    return [reduce(sum(map(mul, cols, rows)).to_bytes(size, "little")) for cols, size in coords]
+    return [residues(sum(map(mul, cols, rows)).to_bytes(size, "little")) for cols, size in coords]
 
 
 def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[Flag]:
@@ -525,24 +523,26 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
 def _complete_flag_tally(space: FqSpace) -> Mapping[SignedPerm, int]:
     """Length-permutation tally over all complete flags of the space (read-only:
     the cache hands it to every caller), counted by the columns the
-    extraction uses, read off L sets with no elimination per step.  L(V), the
-    positions that are the last nonzero coordinate of some vector of V, are
-    the pivots of an elimination taking the columns right to left.  Each step
-    takes the last position of a member vector vanishing at the used columns.
-    If those are L(V), the vectors of W (dim V + 1) vanishing there form a
-    line whose last position lies in L(W) - L(V), so by induction the step
-    from V to W adds the one element of L(W) - L(V).  The flags ending at W
-    are pulled from W's hyperplanes, one level at a time."""
-    level: dict[bytes, tuple[set[int], dict[tuple[int, ...], int]]] = {b"": (set(), {(): 1})}
+    extraction uses, read off L sets with no elimination.  L(V), kept as a
+    bit mask, holds the positions that are the last nonzero coordinate of
+    some vector of V.  L(W) holds the last position of W's last RREF row,
+    all of L(W) for a line; once dim W >= 2 every vector of W lies in a
+    hyperplane of W, so L(W) is the union of their L sets.  Each step takes
+    the last position of a member vector vanishing at the used columns.  If
+    those are L(V), the vectors of W (dim V + 1) vanishing there form a line
+    whose last position lies in L(W) - L(V), so by induction the step from V
+    to W adds the one bit of L(W) ^ L(V).  The flags ending at W are pulled
+    from W's hyperplanes, one level at a time."""
+    level: dict[bytes, tuple[int, dict[tuple[int, ...], int]]] = {b"": (0, {(): 1})}
     tally: dict[tuple[int, ...], int] = {}
     for k in range(1, space.iso_max + 1):
         prev, level = level, {}
         for sub in enumerate_subspaces(space, k):
-            last = {c for c, _ in _eliminate(sub, space.p, range(space.dim - 1, -1, -1))}
+            hyperplanes = [prev[below] for below in _below(space, sub, (k - 1,))]
+            last = reduce(or_, [mask for mask, _ in hyperplanes], 1 << len(bytes(sub[-1]).rstrip(b"\0")) - 1)
             counts = tally if k == space.iso_max else {}
-            for below in _below(space, sub, (k - 1,)):
-                below_last, states = prev[below]
-                (col,) = last - below_last
+            for below_last, states in hyperplanes:
+                col = (last ^ below_last).bit_length() - 1
                 for cols, n in states.items():
                     counts[(*cols, col)] = counts.get((*cols, col), 0) + n
             level[_key(sub)] = last, counts

@@ -20,7 +20,6 @@ The type-D Euler-extended direct-vs-recursion comparison is reported (INFO)
 rather than gated.
 """
 
-from weylmahonian import checks
 from weylmahonian.statistics import closed_form, mahonian_direct, mahonian_recursive
 from weylmahonian.weylgroups import GroupFamily, coxeter_word_length, length
 
@@ -33,10 +32,11 @@ def report(criterion: str, ok: bool, detail: str = ""):
     assert ok, f"{criterion}: {detail}"
 
 
-def run_criterion(criterion: str, names: list[str]):
-    """Run the named checks over their registry grids: a gating report must
-    pass, a non-gating one is printed as INFO."""
-    reports = list(checks.run_all(names))
+def run_criterion(criterion: str, names: list[str], registry_reports):
+    """Run the named checks over their registry grids, each computed once per
+    session (conftest.py): a gating report must pass, a non-gating one is
+    printed as INFO."""
+    reports = [rep for name in names for rep in registry_reports(name)]
     for rep in reports:
         if not rep.gating:
             print(f"INFO  {rep.label()}: "
@@ -56,35 +56,36 @@ def test_criterion_1_reference_tables():
     report("criterion 1: coefficient tables BC and D, d=1..4", True)
 
 
-def test_criterion_2_direct_equals_recursive():
+def test_criterion_2_direct_equals_recursive(registry_reports):
     run_criterion("criterion 2: direct = recursive",
-                  ["direct_vs_recursive", "d_euler_direct_vs_recursive"])
+                  ["direct_vs_recursive", "d_euler_direct_vs_recursive"], registry_reports)
 
 
-def test_criterion_3_length_equals_word_length():
+def test_criterion_3_length_equals_word_length(registry_reports):
     assert length((-2, -3, 1), GroupFamily("BC", 3)) == 6
     assert coxeter_word_length((-2, -3, 1), GroupFamily("BC", 3)) == 6
     assert length((-2, 4, -3, 1), GroupFamily("D", 4)) == 8
     assert coxeter_word_length((-2, 4, -3, 1), GroupFamily("D", 4)) == 8
-    run_criterion("criterion 3: closed-form length = BFS distance", ["length_vs_bfs"])
+    run_criterion("criterion 3: closed-form length = BFS distance", ["length_vs_bfs"], registry_reports)
 
 
-def test_criterion_4_flag_series_theorems():
-    run_criterion("criterion 4: flag-series theorems", ["flag_series_theorem"])
+def test_criterion_4_flag_series_theorems(registry_reports):
+    run_criterion("criterion 4: flag-series theorems", ["flag_series_theorem"], registry_reports)
 
 
-def test_criterion_5_counting_formulas():
+def test_criterion_5_counting_formulas(registry_reports):
     run_criterion(
         "criterion 5: subspace counting formulas",
         ["subspace_count_grassmann", "subspace_count_isotropic", "subspace_count_hyperbolic"],
+        registry_reports,
     )
 
 
-def test_criterion_6_canonical_cell_counts():
-    run_criterion("criterion 6: canonical-basis cell counts", ["canonical_cell_counts"])
+def test_criterion_6_canonical_cell_counts(registry_reports):
+    run_criterion("criterion 6: canonical-basis cell counts", ["canonical_cell_counts"], registry_reports)
 
 
-def test_criterion_7_closed_form_identities():
+def test_criterion_7_closed_form_identities(registry_reports):
     # type A evaluation at q=1 of the recursion (the registry checks the
     # direct sum), d <= 7
     for d in range(1, 8):
@@ -102,11 +103,13 @@ def test_criterion_7_closed_form_identities():
             "bc_reciprocal_symmetry",
             "low_degree_agreement",
         ],
+        registry_reports,
     )
 
 
-def test_criterion_8_structural_properties():
+def test_criterion_8_structural_properties(registry_reports):
     run_criterion(
         "criterion 8: standard weights, refinement counts, Rothe diagrams",
         ["standard_weight_flags", "refinement_counts", "rothe_worked_examples"],
+        registry_reports,
     )

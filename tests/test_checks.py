@@ -170,3 +170,14 @@ def test_run_all_computes_reports_on_demand(monkeypatch):
     reports = run_all(["probe"])
     assert next(reports).params == {"d": 0}
     assert ran == [0]  # the later grid points have not run
+
+
+def test_run_all_runs_each_check_once_in_order(monkeypatch):
+    """No names means every registered check in registry order; a repeated
+    name runs once, where it was first given."""
+    import weylmahonian.checks as checks
+
+    monkeypatch.setattr(checks, "run_identity_check", lambda name, params: (name, params))
+    assert list(run_all()) == [(name, params) for name in REGISTRY for params in default_grid(name)]
+    repeated = ["symmetry_qt_a", "qbinomial_theorem", "symmetry_qt_a"]
+    assert list(run_all(repeated)) == list(run_all(repeated[:2]))

@@ -1,7 +1,4 @@
-import contextlib
-import functools
 import hashlib
-import io
 import json
 import os
 import pathlib
@@ -159,6 +156,20 @@ def test_verify_single_check(capsys):
     assert out.strip().splitlines()[-1].endswith("0 failed")
 
 
+def test_verify_repeated_check_runs_once(capsys):
+    """A check named twice runs its grid once, where it was first named, and
+    each report is printed and counted once."""
+    code, out = invoke(
+        capsys, "verify", "--check", "direct_vs_recursive", "--check", "symmetry_qt_a",
+        "--check", "direct_vs_recursive", "--max-d", "0",
+    )
+    assert code == 0
+    *reports, summary = out.strip().splitlines()
+    assert [line.split("(")[0] for line in reports] == ["PASS  direct_vs_recursive"] * 5 + ["PASS  symmetry_qt_a"]
+    assert len(set(reports)) == 6
+    assert summary == "6 passed, 0 failed"
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -171,27 +182,20 @@ def test_verify_single_check(capsys):
         (("--list",), "49173c090f61701e961a25078c8f8c914eeb13ae1e256d8c8d895c7b2508639b"),
     ],
 )
-def test_verify_output_is_pinned(capsys, monkeypatch, argv, digest):
+def test_verify_output_is_pinned(capsys, monkeypatch, registry_reports, argv, digest):
     """SHA-256 of the verify stdout: every report's text or JSON line, and the
-    check list.  The --all grid is computed once, by the --json run; the text
-    run renders the reports rebuilt from its lines."""
-    if argv == ("--all", "--json"):
-        code, out = 0, _verify_all_json()
-    else:
-        if argv == ("--all",):
-            reports = [checks.CheckReport(**json.loads(line)) for line in _verify_all_json().splitlines()]
-            monkeypatch.setattr(checks, "run_all", lambda *args, **kwargs: iter(reports))
-        code, out = invoke(capsys, "verify", *argv)
+    check list.  The two unbounded --all runs render the session's registry
+    reports, so each grid point is computed once."""
+    if argv in (("--all",), ("--all", "--json")):
+
+        def run_all(names=None, **bounds):
+            assert names is None and bounds == {"max_d": None, "primes": None, "trunc": None}
+            return (rep for name in checks.REGISTRY for rep in registry_reports(name))
+
+        monkeypatch.setattr(checks, "run_all", run_all)
+    code, out = invoke(capsys, "verify", *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-@functools.cache
-def _verify_all_json() -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert run(["verify", "--all", "--json"]) == 0
-    return out.getvalue()
 
 
 def test_verify_json(capsys):

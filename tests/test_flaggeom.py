@@ -261,6 +261,8 @@ def test_complete_flag_tally_is_read_only():
         quadratic_space(3, 2),
         hyperbolic_space(3, 2),
         hyperbolic_space(3, 3),
+        linear_space(13, 2),
+        linear_space(11, 3),
     ],
     ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
 )
@@ -296,14 +298,14 @@ def _caller_spy(monkeypatch, name):
 )
 def test_tally_eliminates_once_per_subspace(monkeypatch, space):
     """The tally reads each complete flag's columns off the L sets of its
-    members: at most one elimination per nonzero subspace, not one per flag
-    or per chain."""
+    members, and each L set off the level below (the union over the
+    hyperplanes, or a line's last nonzero position): no elimination at all,
+    not one per subspace, flag or chain."""
     import weylmahonian.flaggeom as fg
 
-    nonzero = sum(1 for m in range(1, space.iso_max + 1) for _ in enumerate_subspaces(space, m))
     callers = _caller_spy(monkeypatch, "_eliminate")
     fg._complete_flag_tally.__wrapped__(space)
-    assert 0 < len(callers) <= nonzero
+    assert callers == []
 
 
 def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
