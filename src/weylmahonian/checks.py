@@ -451,6 +451,7 @@ def subspace_count_grassmann(p: int, d: int) -> Verdict:
     *[{"kind": "C", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
     *[{"kind": "B", "p": p, "d": d} for p in (3, 5) for d in (1, 2)],
     *[{"kind": "C", "p": p, "d": 3} for p in (3, 5)],
+    {"kind": "B", "p": 3, "d": 3},
 ))
 def subspace_count_isotropic(kind: str, p: int, d: int) -> Verdict:
     """Isotropic counts in symplectic (kind C) and odd quadratic (kind B)
@@ -462,6 +463,7 @@ def subspace_count_isotropic(kind: str, p: int, d: int) -> Verdict:
 @_check(_points(
     *[{"p": p, "d": d} for p in (3, 5) for d in (1, 2)],
     *[{"p": p, "d": 3} for p in (3, 5)],
+    {"p": 3, "d": 4},
 ))
 def subspace_count_hyperbolic(p: int, d: int) -> Verdict:
     """Isotropic counts in the hyperbolic space, broken down by the

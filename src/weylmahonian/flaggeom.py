@@ -23,6 +23,15 @@ prod_i x*t^(dim V_i) / (1 - x*t^(dim V_i)) with x = s or 1, which depends
 on the flag only through its dimension signature, so the flags are counted
 by signature and each signature's factor is formed once.
 
+The k-dimensional subspaces are streamed pivot set by pivot set, each as
+the product of its rows' candidate lists (1 at the row's pivot, 0 at the
+other pivots and left of its own, anything elsewhere).  A typed space first
+drops the rows with Q != 0 (quadratic kinds); then choosing a row filters
+every later list once by B(row, -) = 0, keeping its order, so each later row
+is drawn from the orthogonal complement of the rows chosen, a branch with an
+empty later list is cut, and the last row needs no test.  The stream is the
+linear one with the non-isotropic subspaces left out, in the same order.
+
 The subspaces of a subspace W come from W's RREF basis B (pivots
 c_1 < ... < c_k): for U in RREF, U*B equals U at the columns c_j and vanishes
 left of each row's first 1, so U*B is in RREF, and U -> U*B maps the
@@ -46,6 +55,15 @@ loop: bytes.translate for one-byte digits, struct.unpack and a map for wider
 ones.  The signature counts of the flags ending at W are one int with a
 w-bit slot per signature; w is the bit length of prod_m C(n, m) p^(m(n-m)),
 which bounds every count before any is formed (_signature_counts).
+
+The parity of a hyperbolic subspace W is read off L(W), the positions that
+are the last nonzero coordinate of some vector of W, with no elimination.
+The vectors of W whose last position is below d span W & I, so
+dim(W) - dim(W & I) = |L(W) & {d, ..., 2d-1}|.  flag_series and the
+canonical-basis tally build the L masks level by level, each from the
+masks of W's hyperplanes (_last_positions).  enumerate_flags and the
+hyperbolic count check still row-reduce (metabolizer_excess): the tests
+compare the two parities through the flags they count.
 """
 
 from __future__ import annotations
@@ -53,7 +71,7 @@ from __future__ import annotations
 import struct
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, cached_property, lru_cache, partial, reduce
 from itertools import combinations, product
 from math import comb, prod
 from operator import methodcaller, mul, or_
@@ -174,15 +192,20 @@ class FqSpace:
         """The signed coordinate index at each storage position (1-based for linear)."""
         return pm_coordinates(self.d, {"linear": "A", "quadratic": "B"}.get(self.kind, "C"))
 
+    @cached_property
+    def _mirror_weights(self) -> Vector:
+        """w_(n-1), ..., w_0, the mirror weights of the module docstring from
+        the last position down; all 0 for a linear space (the zero form)."""
+        d = self.d
+        if self.kind == "linear":
+            return (0,) * d
+        return (-1 if self.kind == "symplectic" else 1,) * d + (2,) * (self.kind == "quadratic") + (1,) * d
+
     def functional(self, u: Vector) -> Vector:
         """The coefficient row of B(u, -): entry a is w_(n-1-a) u_(n-1-a), with
         the mirror weights of the module docstring (not reduced mod p).  A
         linear space carries the zero form."""
-        if self.kind == "linear":
-            return (0,) * self.d
-        d = self.d  # the weights below run from w_(n-1) down to w_0
-        weights = (-1 if self.kind == "symplectic" else 1,) * d + (2,) * (self.kind == "quadratic") + (1,) * d
-        return tuple(map(mul, weights, reversed(u)))
+        return tuple(map(mul, self._mirror_weights, reversed(u)))
 
     def bilinear(self, u: Vector, v: Vector) -> int:
         """The symplectic form, or the polar form of Q, evaluated mod p."""
@@ -245,7 +268,7 @@ def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
     singular: dict[Vector, bool] = {}  # Q(v) = 0, tested once per distinct row
     for pivots in combinations(range(dim), k):
         cands = [_row_candidates(dim, pivots, r, p) for r in range(k)]
-        if space.kind == "linear":
+        if space.kind == "linear" or not k:  # no pair of rows to test
             yield from product(*cands)
             continue
         if space.kind in ("quadratic", "hyperbolic"):
@@ -254,30 +277,28 @@ def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
                     if v not in singular:
                         singular[v] = space.bilinear(v, v) == 0
             cands = [[v for v in rows if singular[v]] for rows in cands]
-        yield from _isotropic_dfs(space, cands, k)
+        yield from _isotropic_rows(space, cands)
 
 
-def _isotropic_dfs(space: FqSpace, cands: list[list[Vector]], k: int) -> Iterator[Subspace]:
-    chosen: list[Vector] = []
-    functionals: list[Vector] = []  # B(u, -) of each chosen row u
-    p = space.p
-
-    def rec(r: int) -> Iterator[Subspace]:
-        if r == k:
-            yield tuple(chosen)
-            return
-        for v in cands[r]:
-            if all(sum(map(mul, f, v)) % p == 0 for f in functionals):
-                if r + 1 == k:  # a last row needs no functional
-                    yield (*chosen, v)
-                    continue
-                chosen.append(v)
-                functionals.append(space.functional(v))
-                yield from rec(r + 1)
-                chosen.pop()
-                functionals.pop()
-
-    yield from rec(0)
+def _isotropic_rows(space: FqSpace, lists: list[list[Vector]], chosen: Subspace = ()) -> list[Subspace]:
+    """The row tuples after chosen, one row from each candidate list, that
+    are pairwise orthogonal, in product order: each row chosen filters the
+    later lists (module docstring), so the last list is taken whole."""
+    first, *later = lists
+    if not later:
+        return [(*chosen, v) for v in first]
+    p, found = space.p, []
+    for v in first:
+        f = space.functional(v)
+        kept = []
+        for rows in later:
+            rows = [u for u in rows if sum(map(mul, f, u)) % p == 0]
+            if not rows:
+                break
+            kept.append(rows)
+        else:
+            found += _isotropic_rows(space, kept, (*chosen, v))
+    return found
 
 
 def is_isotropic(space: FqSpace, rows: Subspace) -> bool:
@@ -300,6 +321,15 @@ def metabolizer_excess(space: FqSpace, rows: Subspace) -> int:
 def _key(sub: Subspace) -> bytes:
     """The dict key of a subspace: its RREF rows, one byte per coordinate."""
     return b"".join(map(bytes, sub))
+
+
+def _last_positions(sub: Subspace, hyperplane_masks: Iterable[int]) -> int:
+    """L(W) as a bit mask, from the masks of W's hyperplanes: the positions
+    that are the last nonzero coordinate of some vector of W.  L(W) holds the
+    last position of W's last RREF row, all of L(W) for a line (whose one
+    hyperplane, the zero subspace, has mask 0); once dim W >= 2 every vector
+    of W lies in a hyperplane of W, so L(W) is the union of their L sets."""
+    return reduce(or_, hyperplane_masks, 1 << len(bytes(sub[-1]).rstrip(b"\0")) - 1)
 
 
 def _pack(values: Sequence[int], stride: int) -> int:
@@ -417,19 +447,29 @@ def _signature_counts(space: FqSpace) -> Mapping[tuple[int, ...], int]:
     reaches prod_m C(n, m) p^(m(n-m)), a bound on the product of the numbers
     of subspaces of each dimension (RREF pivots and free entries), so no slot
     carries.  For the hyperbolic space only the empty flag and the chains
-    ending at even parity are counted."""
+    ending at even parity are counted, the parity read off L masks (module
+    docstring): W's hyperplanes are the last (p^k - 1)/(p - 1) keys that
+    _below lists for dim W = k, so only the previous level's masks are kept."""
     top, n, p = space.iso_max, space.dim, space.p
     w = prod(comb(n, m) * p ** (m * (n - m)) for m in range(1, top + 1)).bit_length()
     hyperbolic = space.kind == "hyperbolic"
     ending = {b"": 1}  # key -> packed counts of the flags ending there
+    masks = {b"": 0}  # key -> L mask, previous level, hyperbolic only
     total = 1
     for k in range(1, top + 1):
+        prev, masks, hyperplanes = masks, {}, (p**k - 1) // (p - 1)
         for sub in enumerate_subspaces(space, k):
-            counts = sum(map(ending.__getitem__, _below(space, sub, range(k)))) << (w << (k - 1))
+            below, key = _below(space, sub, range(k)), _key(sub)
+            counts = sum(map(ending.__getitem__, below)) << (w << (k - 1))
             if k < top:  # nothing is pulled from the top level
-                ending[_key(sub)] = counts
-            if not hyperbolic or metabolizer_excess(space, sub) % 2 == 0:
-                total += counts
+                ending[key] = counts
+            if hyperbolic:
+                mask = _last_positions(sub, map(prev.__getitem__, below[-hyperplanes:]))
+                if k < top:
+                    masks[key] = mask
+                if (mask >> space.d).bit_count() % 2:
+                    continue
+            total += counts
     slot = (1 << w) - 1
     return MappingProxyType(
         {
@@ -523,23 +563,20 @@ def canonical_basis(space: FqSpace, chain: Sequence[Sequence[Sequence[int]]]) ->
 def _complete_flag_tally(space: FqSpace) -> Mapping[SignedPerm, int]:
     """Length-permutation tally over all complete flags of the space (read-only:
     the cache hands it to every caller), counted by the columns the
-    extraction uses, read off L sets with no elimination.  L(V), kept as a
-    bit mask, holds the positions that are the last nonzero coordinate of
-    some vector of V.  L(W) holds the last position of W's last RREF row,
-    all of L(W) for a line; once dim W >= 2 every vector of W lies in a
-    hyperplane of W, so L(W) is the union of their L sets.  Each step takes
-    the last position of a member vector vanishing at the used columns.  If
-    those are L(V), the vectors of W (dim V + 1) vanishing there form a line
-    whose last position lies in L(W) - L(V), so by induction the step from V
-    to W adds the one bit of L(W) ^ L(V).  The flags ending at W are pulled
-    from W's hyperplanes, one level at a time."""
+    extraction uses, read off L sets with no elimination: each subspace's L
+    set, kept as a bit mask, is read off its hyperplanes' (_last_positions).
+    Each step takes the last position of a member vector vanishing at the
+    used columns.  If those are L(V), the vectors of W (dim V + 1) vanishing
+    there form a line whose last position lies in L(W) - L(V), so by
+    induction the step from V to W adds the one bit of L(W) ^ L(V).  The
+    flags ending at W are pulled from W's hyperplanes, one level at a time."""
     level: dict[bytes, tuple[int, dict[tuple[int, ...], int]]] = {b"": (0, {(): 1})}
     tally: dict[tuple[int, ...], int] = {}
     for k in range(1, space.iso_max + 1):
         prev, level = level, {}
         for sub in enumerate_subspaces(space, k):
             hyperplanes = [prev[below] for below in _below(space, sub, (k - 1,))]
-            last = reduce(or_, [mask for mask, _ in hyperplanes], 1 << len(bytes(sub[-1]).rstrip(b"\0")) - 1)
+            last = _last_positions(sub, [mask for mask, _ in hyperplanes])
             counts = tally if k == space.iso_max else {}
             for below_last, states in hyperplanes:
                 col = (last ^ below_last).bit_length() - 1

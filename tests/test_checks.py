@@ -88,9 +88,9 @@ def test_flag_series_theorem_with_wide_image_digits(kind, p, d):
 @pytest.mark.parametrize(
     "kwargs, points, digest",
     [
-        ({}, 414, "3a5f62cb4746b79f8c1547df2e90e73fdcc6fad19097e1e510c0e524d0e0b4ef"),
+        ({}, 416, "a2248998b7e2aa07c6b67d89d0b3d5d8bf3855e7187d337694a5b44fb5d289c8"),
         ({"max_d": 2}, 193, "abad4565b073a46b1ebae840830df539e2b60788d058342dfee907518448a26f"),
-        ({"primes": [3], "trunc": 6}, 350, "fc86276374ceb89ce0acab37f479e3c35b0c64e027165e006dd97daa82a68915"),
+        ({"primes": [3], "trunc": 6}, 352, "3853267ced96af9b7309d879553390f1df930e99e9972a9d60e3353cbc0cfdfe"),
     ],
 )
 def test_registry_grids_are_pinned(kwargs, points, digest):

@@ -173,8 +173,8 @@ def test_verify_repeated_check_runs_once(capsys):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("--all",), "b26294fef7e91c9adac766d70ea055915b0c8892e3bef79e6b622b15c4312c67"),
-        (("--all", "--json"), "0f7fbaa0a764f21ac659dd95d5d5c06069b558f4d33a7d3a3fdf67302b7dc938"),
+        (("--all",), "91bfbe879da779103a5aaf33d7a70ee73812fef161246020caaa8d43dad9dc57"),
+        (("--all", "--json"), "defe7dd88631d32c1567164cea10f182592730c2c0c528a9fb1b04c625415719"),
         (
             ("--all", "--max-d", "2", "--primes", "3", "--trunc", "6", "--json"),
             "4e0bd2bc097ea5900e9c7441f1d8f00413a1c0452d50831e48c8f5ffb05c3eb5",
