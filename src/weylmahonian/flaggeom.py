@@ -59,9 +59,12 @@ which bounds every count before any is formed (_signature_counts).
 The parity of a hyperbolic subspace W is read off L(W), the positions that
 are the last nonzero coordinate of some vector of W, with no elimination.
 The vectors of W whose last position is below d span W & I, so
-dim(W) - dim(W & I) = |L(W) & {d, ..., 2d-1}|.  flag_series and the
-canonical-basis tally build the L masks level by level, each from the
-masks of W's hyperplanes (_last_positions).  enumerate_flags and the
+dim(W) - dim(W & I) = |L(W) & {d, ..., 2d-1}|.  L(W) is the union of
+the L sets of any subspaces of W that hold every vector of W between them
+(_last_positions).  flag_series takes W's lines, which _below lists anyway:
+a line's L set is the position of its key's last nonzero byte, so the
+series stores no mask.  The canonical-basis tally takes W's hyperplanes,
+whose masks it stores beside their states.  enumerate_flags and the
 hyperbolic count check still row-reduce (metabolizer_excess): the tests
 compare the two parities through the flags they count.
 """
@@ -250,6 +253,13 @@ def _row_candidates(dim: int, pivots: tuple[int, ...], r: int, p: int) -> list[V
     return list(product(*choices))
 
 
+def _check_cells(space: FqSpace) -> None:
+    """ValueError if p^dim exceeds MAX_CELLS.  Since p >= 2, a dim of at least
+    MAX_CELLS.bit_length() is refused without forming p^dim."""
+    if space.dim >= MAX_CELLS.bit_length() or space.p**space.dim > MAX_CELLS:
+        raise ValueError(f"p^dim = {space.p}^{space.dim} exceeds the cell cap {MAX_CELLS}")
+
+
 def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
     """Deterministic stream of the k-dimensional subspaces a flag may contain,
     as RREF row tuples.
@@ -260,8 +270,7 @@ def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
     """
     if not 0 <= k <= space.dim:
         raise ValueError(f"need 0 <= k <= {space.dim}, got {k}")
-    if space.p**space.dim > MAX_CELLS:
-        raise ValueError(f"p^dim = {space.p}^{space.dim} exceeds the cell cap {MAX_CELLS}")
+    _check_cells(space)
     if k > space.iso_max:
         return
     dim, p = space.dim, space.p
@@ -323,13 +332,15 @@ def _key(sub: Subspace) -> bytes:
     return b"".join(map(bytes, sub))
 
 
-def _last_positions(sub: Subspace, hyperplane_masks: Iterable[int]) -> int:
-    """L(W) as a bit mask, from the masks of W's hyperplanes: the positions
-    that are the last nonzero coordinate of some vector of W.  L(W) holds the
-    last position of W's last RREF row, all of L(W) for a line (whose one
-    hyperplane, the zero subspace, has mask 0); once dim W >= 2 every vector
-    of W lies in a hyperplane of W, so L(W) is the union of their L sets."""
-    return reduce(or_, hyperplane_masks, 1 << len(bytes(sub[-1]).rstrip(b"\0")) - 1)
+def _last_positions(sub: Subspace, masks: Iterable[int]) -> int:
+    """L(W) as a bit mask, the positions that are the last nonzero coordinate
+    of some vector of W, from the masks of W's lines (the series) or of its
+    hyperplanes (the tally).  L(W) holds the last position of W's last RREF
+    row, which is all of L(W) for a line: a line has no proper line, and its
+    one hyperplane, the zero subspace, has mask 0.  Once dim W >= 2 every
+    vector of W lies in a line and in a hyperplane of W, so L(W) is the union
+    of their L sets."""
+    return reduce(or_, masks, 1 << len(bytes(sub[-1]).rstrip(b"\0")) - 1)
 
 
 def _pack(values: Sequence[int], stride: int) -> int:
@@ -447,27 +458,27 @@ def _signature_counts(space: FqSpace) -> Mapping[tuple[int, ...], int]:
     reaches prod_m C(n, m) p^(m(n-m)), a bound on the product of the numbers
     of subspaces of each dimension (RREF pivots and free entries), so no slot
     carries.  For the hyperbolic space only the empty flag and the chains
-    ending at even parity are counted, the parity read off L masks (module
-    docstring): W's hyperplanes are the last (p^k - 1)/(p - 1) keys that
-    _below lists for dim W = k, so only the previous level's masks are kept."""
+    ending at even parity are counted, the parity read off L(W) (module
+    docstring): W's lines are the (p^k - 1)/(p - 1) keys that _below lists
+    right after the zero subspace for dim W = k, and a line's last position
+    is that of its key's last nonzero byte, so no mask is kept.  The cell
+    cap is checked before the slot width is formed."""
+    _check_cells(space)
     top, n, p = space.iso_max, space.dim, space.p
     w = prod(comb(n, m) * p ** (m * (n - m)) for m in range(1, top + 1)).bit_length()
     hyperbolic = space.kind == "hyperbolic"
     ending = {b"": 1}  # key -> packed counts of the flags ending there
-    masks = {b"": 0}  # key -> L mask, previous level, hyperbolic only
     total = 1
     for k in range(1, top + 1):
-        prev, masks, hyperplanes = masks, {}, (p**k - 1) // (p - 1)
+        lines = (p**k - 1) // (p - 1)
         for sub in enumerate_subspaces(space, k):
-            below, key = _below(space, sub, range(k)), _key(sub)
+            below = _below(space, sub, range(k))
             counts = sum(map(ending.__getitem__, below)) << (w << (k - 1))
             if k < top:  # nothing is pulled from the top level
-                ending[key] = counts
-            if hyperbolic:
-                mask = _last_positions(sub, map(prev.__getitem__, below[-hyperplanes:]))
-                if k < top:
-                    masks[key] = mask
-                if (mask >> space.d).bit_count() % 2:
+                ending[_key(sub)] = counts
+            if hyperbolic:  # a line's last position is that of its key's last nonzero byte
+                last = (1 << len(line.rstrip(b"\0")) - 1 for line in below[1 : 1 + lines])
+                if (_last_positions(sub, last) >> space.d).bit_count() % 2:
                     continue
             total += counts
     slot = (1 << w) - 1

@@ -16,9 +16,13 @@ one-line words of the group, built left to right as a DP over prefixes.  The
 state of a prefix is the set of its signed values, as a bit mask in <_pm
 order (1 < ... < d < -d < ... < -1; bit r is the value of <_pm rank r), and
 its last entry.  Each state holds the polynomial of all prefixes reaching it,
-as a dict from one packed exponent eq + Q (et + T es) to a count, with Q and
-T above the q- and t-degree bounds; a layer is drained as the next is built,
-and whole words are summed into one such dict, unpacked once.  Appending
+as a dict from one packed exponent to a count: q^eq t^et s^es is keyed by
+its digit index eq + q_stride es + slots et in the recursion's layout
+(_Layout, below), so a unit of length adds 1, a descent q_stride and a unit
+of wmaj slots.  A layer is drained as the next is built, and whole words are
+summed into one such dict.  Each count is then put at its digit of its row,
+and the rows are decoded by the recursion's _unpack, so both routes emit
+their terms through one decoder, in lexicographic order.  Appending
 v at position pos (0-based) to a prefix with last entry prev adds
 
 - to length: the placed values above v in <_pm (the bits of the mask above
@@ -32,8 +36,10 @@ sum needs one pass over the states (d 2^(d-1) for A, 2d 3^(d-1) for BC and
 D, checked against DIRECT_MAX_STATES before any arithmetic) and never visits
 a group element.  Type D keeps the final masks with an even number of
 negative values.  The route uses no subspace count, q-binomial, recursion or
-closed form, so its agreement with the recursions below is a real check;
-tests compare it with the per-element sum over enumerate_group.
+closed form, so its agreement with the recursions below is a real check: it
+shares their arithmetic (the layout and the unpack), not their mathematics.
+Tests compare it with the per-element sum over enumerate_group at every rank
+that enumeration admits, the independent check of that shared packing.
 
 The recursions run on packed integers (Kronecker substitution), not on
 MultiPoly products.  A polynomial in q, t, s is a list of rows indexed by
@@ -178,9 +184,8 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
             f"the direct sum for {tag} d={d} walks {text} prefix states, over the cap "
             f"{DIRECT_MAX_STATES}; lower --d or use --method recur"
         )
-    top = d - 1 if tag == "A" else d
-    t_unit = max_length(fam) + 1  # packed exponent: eq + t_unit * et + s_unit * es
-    s_unit = t_unit * (top * (top + 1) // 2 + 1) if euler else 0
+    lay = _layout(fam, euler)  # a term's key eq + q_stride * es + slots * et is its digit index there
+    slots, des = lay.slots, lay.x_shift // lay.width  # the key of t, and of s (q_stride, or 0 without euler)
     sign = d + 1 if tag == "BC" else d  # the sign part of a negative v is sign + v
     rank = {v: r for r, v in enumerate(pm_coordinates(d, "A" if tag == "A" else "C"))}
     # per value: itself, its <_pm rank, its bit and the bits of both signs of |v|
@@ -198,17 +203,17 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
                     continue
                 inc = (mask >> (r + 1)).bit_count()
                 if v < 0:
-                    inc += sign + v + t_unit
+                    inc += sign + v + slots
                 if pos:
                     if prev > v:
-                        inc += pos * t_unit
+                        inc += pos * slots
                     if r < prev_rank:
-                        inc += s_unit
+                        inc += des
                 if final:
                     if tag == "D" and ((mask | bit) >> d).bit_count() % 2:
                         continue  # an odd number of negative values: not in type D
                     if v < 0:  # a negative last entry is one more descent
-                        inc += s_unit
+                        inc += des
                     acc = packed
                 else:
                     key = (mask | bit, v)
@@ -220,12 +225,10 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
                     e += inc
                     acc[e] = acc.get(e, 0) + c
         layer = nxt
-    terms = {}
+    rows = [0] * (max(packed) // slots + 1)
     for e, c in packed.items():
-        es, e = divmod(e, s_unit) if euler else (0, e)
-        et, eq = divmod(e, t_unit)
-        terms[(eq, et, es)] = c
-    return MultiPoly._wrap(terms)  # counts of words: every one positive
+        rows[e // slots] += c << (lay.width * (e % slots))
+    return _unpack(rows, lay)
 
 
 class _Layout(NamedTuple):
@@ -238,9 +241,9 @@ class _Layout(NamedTuple):
 
 
 def _layout(fam: GroupFamily, euler: bool) -> _Layout:
-    """The packed layout of mahonian_recursive(fam, euler), from the closed
-    bounds in the module docstring; ValueError if the result would take more
-    than RECUR_MAX_BITS."""
+    """The packed layout of mahonian_recursive(fam, euler), which
+    mahonian_direct shares, from the closed bounds in the module docstring;
+    ValueError if the result would take more than RECUR_MAX_BITS."""
     d = fam.d
     top = d - 1 if fam.tag == "A" else d
     q_stride = max_length(fam) + 1

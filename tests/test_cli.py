@@ -381,6 +381,21 @@ def test_direct_work_guard_reports_usage_error(capsys, family, d):
     assert captured.err.startswith(f"error: the direct sum for {family} d={d} walks")
 
 
+@pytest.mark.parametrize("family, d", [("A", 300), ("C", 200), ("D", 150), ("A", 10**9)])
+def test_flag_cell_cap_refuses_before_any_work(capsys, family, d):
+    """The cap is checked before the signature slot width, a product over
+    every dimension, is formed, and without forming p^dim itself."""
+    start = time.perf_counter()
+    code = run(["flags", "--prime", "3", "--family", family, "--d", str(d)])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert elapsed < 1.0
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: p^dim = 3^")
+
+
 def test_recursion_work_guard_reports_usage_error(capsys):
     start = time.perf_counter()
     code = run(["mahonian", "--family", "A", "--d", "200", "--method", "recur"])

@@ -394,6 +394,8 @@ def test_flag_series_lists_no_flag(monkeypatch):
         linear_space(11, 3),
         hyperbolic_space(5, 2),
         hyperbolic_space(7, 2),
+        hyperbolic_space(5, 3),
+        hyperbolic_space(13, 2),  # two-byte image digits: the line keys come through _wide_residues
     ],
     ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
 )

@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -22,7 +24,7 @@ from weylmahonian.statistics import (
     qbinomial_theorem_sides,
     symplectic_isotropic_count,
 )
-from weylmahonian.weylgroups import GroupFamily, descent_count, enumerate_group, length, wmaj
+from weylmahonian.weylgroups import ENUM_MAX_ORDER, GroupFamily, descent_count, enumerate_group, length, wmaj
 
 from reference_tables import BC_TABLES, D_TABLES, table_poly
 
@@ -71,12 +73,19 @@ def test_mahonian_direct_examples():
     assert mahonian_direct(GroupFamily("A", 2)) == 1 + Q * T
 
 
+@lru_cache(maxsize=None)
+def element_statistics(tag: str, d: int) -> Counter:
+    """How many elements have each (length, wmaj, descents): every element's
+    three statistics, computed once for both markers."""
+    fam = GroupFamily(tag, d)
+    return Counter((length(perm, fam), wmaj(perm), descent_count(perm)) for perm in enumerate_group(fam))
+
+
 def per_element_sum(fam: GroupFamily, euler: bool) -> MultiPoly:
-    """The direct sum the slow way: every element and its three statistics."""
-    terms: dict[tuple[int, int, int], int] = {}
-    for perm in enumerate_group(fam):
-        key = (length(perm, fam), wmaj(perm), descent_count(perm) if euler else 0)
-        terms[key] = terms.get(key, 0) + 1
+    """The direct sum the slow way, from every element's statistics."""
+    terms: Counter = Counter()
+    for (eq, et, es), n in element_statistics(fam.tag, fam.d).items():
+        terms[(eq, et, es if euler else 0)] += n
     return MultiPoly(terms)
 
 
@@ -85,6 +94,17 @@ def per_element_sum(fam: GroupFamily, euler: bool) -> MultiPoly:
 def test_direct_equals_per_element_sum(tag, dmax, euler):
     for d in range(dmax + 1):
         fam = GroupFamily(tag, d)
+        assert mahonian_direct(fam, euler) == per_element_sum(fam, euler), (tag, d)
+
+
+@pytest.mark.parametrize("euler", [False, True])
+def test_direct_equals_per_element_sum_at_the_enumeration_cap(euler):
+    """The same oracle at the largest rank of each family that enumerate_group
+    admits (ENUM_MAX_ORDER), so the packing the direct route shares with the
+    recursion is checked by an independent sum at every enumerable rank."""
+    for tag, d in (("A", 8), ("BC", 6), ("D", 6)):
+        fam = GroupFamily(tag, d)
+        assert fam.order() <= ENUM_MAX_ORDER < GroupFamily(tag, d + 1).order()
         assert mahonian_direct(fam, euler) == per_element_sum(fam, euler), (tag, d)
 
 
@@ -352,7 +372,8 @@ def test_unpack_rejects_rows_wider_than_the_layout(width):
 @pytest.mark.parametrize("tag", ["A", "BC", "D"])
 @pytest.mark.parametrize("euler", [False, True])
 def test_unpack_matches_every_slot_on_recursion_rows(monkeypatch, tag, euler):
-    """The rows the recursion unpacks at every rank up to 8."""
+    """The rows the recursion unpacks at every rank up to 8, and those of the
+    direct sum at every rank up to 8 that its guard admits."""
     seen = []
 
     def spy(rows, lay):
@@ -361,10 +382,15 @@ def test_unpack_matches_every_slot_on_recursion_rows(monkeypatch, tag, euler):
 
     monkeypatch.setattr(statistics, "_unpack", spy)
     for d in range(9):
-        poly = mahonian_recursive(GroupFamily(tag, d), euler=euler)
-        rows, lay = seen.pop()
-        assert poly == _unpack_every_slot(rows, lay)
-        assert list(poly.terms) == sorted(poly.terms)
+        fam = GroupFamily(tag, d)
+        routes = [mahonian_recursive]
+        if _direct_states(fam) <= DIRECT_MAX_STATES:
+            routes.append(mahonian_direct)
+        for route in routes:
+            poly = route(fam, euler=euler)
+            rows, lay = seen.pop()
+            assert poly == _unpack_every_slot(rows, lay), (route.__name__, d)
+            assert list(poly.terms) == sorted(poly.terms)
 
 
 def _flag_rows_unstripped(counts, interior, lay):
