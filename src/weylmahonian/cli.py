@@ -197,8 +197,20 @@ def _glue_perm_values(argv: list[str]) -> list[str]:
     return out
 
 
+_PARSERS: dict[tuple[str, ...], argparse.ArgumentParser] = {}
+
+
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once per set of registered check names (the
+    choices of verify --check), so a registry that tests patch gets its own."""
+    key = tuple(sorted(checks.REGISTRY))
+    if key not in _PARSERS:
+        _PARSERS[key] = build_parser()
+    return _PARSERS[key]
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _glue_perm_values(list(argv))

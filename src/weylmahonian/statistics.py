@@ -12,34 +12,44 @@ check of its divisibility claim.  Empty products are 1 and empty sums 0
 throughout.
 
 The direct route (mahonian_direct) sums q^length t^wmaj s^des over the
-one-line words of the group, built left to right as a DP over prefixes.  The
-state of a prefix is the set of its signed values, as a bit mask in <_pm
-order (1 < ... < d < -d < ... < -1; bit r is the value of <_pm rank r), and
-its last entry.  Each state holds the polynomial of all prefixes reaching it,
-as a dict from one packed exponent to a count: q^eq t^et s^es is keyed by
-its digit index eq + q_stride es + slots et in the recursion's layout
-(_Layout, below), so a unit of length adds 1, a descent q_stride and a unit
-of wmaj slots.  A layer is drained as the next is built, and whole words are
-summed into one such dict.  Each count is then put at its digit of its row,
-and the rows are decoded by the recursion's _unpack, so both routes emit
-their terms through one decoder, in lexicographic order.  Appending
-v at position pos (0-based) to a prefix with last entry prev adds
+one-line words of the group, built left to right as a DP over prefixes, and
+never visits a group element.  Group the words by N, the set of negated
+absolute values, with n = |N|.  Within the positive and within the negative
+entries integer order and <_pm (1 < ... < d < -d < ... < -1) agree, and
+between the two they only compare signs.  So the statistics of weylgroups
+(inversions, length, wmaj, descent_set), split into per-position terms,
+read three things of a prefix: the negatives left, whether its last entry
+is negative, and that entry's rank r among its class's values left when it
+was placed (itself counted, from 0).  Placing, at position pos (0-based),
+the value of rank j among its class's values left adds
 
-- to length: the placed values above v in <_pm (the bits of the mask above
-  v's rank), plus the sign part d+1+v (BC) or d+v (D) when v < 0;
-- to wmaj: pos if prev > v as integers, plus 1 when v < 0;
-- to s: 1 if v <_pm prev; at the end, 1 more when the last entry is negative.
+- to length: j, plus the positives left when it is negative (they all come
+  after it and lie below it in <_pm);
+- to wmaj: pos when it stays in the last entry's class with j < r, or is
+  negative after a positive;
+- to s: 1 when it stays in the class with j < r, or is positive after a
+  negative; at the end, 1 more when the last entry is negative.
 
-These are the statistics of weylgroups (inversions, length, wmaj,
-descent_set) split into per-position terms that read only the state, so the
-sum needs one pass over the states (d 2^(d-1) for A, 2d 3^(d-1) for BC and
-D, checked against DIRECT_MAX_STATES before any arithmetic) and never visits
-a group element.  Type D keeps the final masks with an even number of
-negative values.  The route uses no subspace count, q-binomial, recursion or
-closed form, so its agreement with the recursions below is a real check: it
-shares their arithmetic (the layout and the unpack), not their mathematics.
-Tests compare it with the per-element sum over enumerate_group at every rank
-that enumeration admits, the independent check of that shared packing.
+Only the sign part depends on N itself: the sum over a in N of d+1-a (BC)
+or d-a (D), plus n to wmaj.  Its q-polynomial per n is built by a
+subset-sum DP over a, so the route starts from one state per n: every n for
+BC, the even ones for D, and n = 0 for A.  A state holds one Python int in
+the recursion's layout (_Layout, below): its digit eq + q_stride es +
+slots et counts the prefixes with q^eq t^et s^es, so multiplying by q, s
+and t is a left shift by w, x_shift and w slots bits, and each placement is
+one shift-add.  The sum over whole words is cut into rows of w slots bits
+and decoded by the recursion's _unpack, so both routes emit their terms
+through one decoder, in lexicographic order.
+
+The DP makes O(d^3) shift-adds (_direct_shift_adds: the values left, summed
+over the states reached before each position), each on an int no longer
+than the packed result.  Their product is the work checked against
+DIRECT_MAX_WORK before any arithmetic.  The route uses no subspace count,
+q-binomial, recursion or closed form, so its agreement with the recursions
+below is a real check: it shares their arithmetic (the layout and the
+unpack), not their mathematics.  Tests compare it with the per-element sum
+over enumerate_group at every rank that enumeration admits, the independent
+check of that shared packing.
 
 The recursions run on packed integers (Kronecker substitution), not on
 MultiPoly products.  A polynomial in q, t, s is a list of rows indexed by
@@ -90,15 +100,16 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .algebra import ONE, ZERO, MultiPoly, T
-from .weylgroups import GroupFamily, capped_count, max_length, pm_coordinates
+from .weylgroups import GroupFamily, capped_count, max_length
 
 # Largest packed result (rows x digits per row x bits per digit) that
 # mahonian_recursive builds: 6.25 MB.  BC d=16 with s takes 47,884,240.
 RECUR_MAX_BITS = 50_000_000
 
-# Largest number of prefix states mahonian_direct walks: it admits A d <= 10
-# (5,120 states) and BC, D d <= 7 (10,206), and refuses A d=11 (11,264).
-DIRECT_MAX_STATES = 11_000
+# Largest predicted work of mahonian_direct, its shift-adds times the packed
+# bits of the result: it admits A d <= 25 (17 with s) and BC, D d <= 16 (12
+# with s).
+DIRECT_MAX_WORK = 60_000_000_000
 
 
 def _qpow(n: int) -> MultiPoly:
@@ -164,71 +175,70 @@ def even_isotropic_count(d: int, k: int) -> MultiPoly:
     return q_binomial(d, k) * total
 
 
-def _direct_states(fam: GroupFamily) -> int:
-    """Number of nonempty (signed prefix set, last entry) states of mahonian_direct:
-    sum_k k C(d,k) = d 2^(d-1) for A, sum_k k C(d,k) 2^k = 2d 3^(d-1) for BC and D."""
-    d = fam.d
-    return d * 2**d // 2 if fam.tag == "A" else 2 * d * 3**d // 3
+def _negative_counts(fam: GroupFamily) -> range:
+    """The numbers of negative entries that the family's words have."""
+    return range(1) if fam.tag == "A" else range(0, fam.d + 1, 2 if fam.tag == "D" else 1)
+
+
+def _direct_shift_adds(fam: GroupFamily) -> int:
+    """One per value left from each state that mahonian_direct reaches.
+    Before position p >= 1, with m = d - p values left, a state with nl
+    negatives left is reached when an allowed n places 1..p negatives under
+    a negative last entry (then nl + 1 ranks), or 0..p-1 under a positive one
+    (then m + 1 - nl ranks)."""
+    d, ns = fam.d, _negative_counts(fam)
+    adds = d * len(ns)  # from the empty prefix, one start per n
+    for p in range(1, d):
+        for nl in range(d - p + 1):
+            for lo, ranks in ((nl + 1, nl + 1), (nl, d - p + 1 - nl)):
+                if -(-lo // ns.step) * ns.step <= min(lo + p - 1, ns[-1]):  # an allowed n in lo..lo+p-1
+                    adds += (d - p) * ranks
+    return adds
+
+
+def _direct_work(fam: GroupFamily, euler: bool) -> int:
+    """Shift-adds times the packed bits of the result, which bounds each one."""
+    lay = _layout(fam, euler)
+    return _direct_shift_adds(fam) * _row_count(fam) * lay.slots * lay.width
 
 
 def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
     """Sum of q^length * t^wmaj (times s^descents if euler) over the group, by
-    the prefix DP of the module docstring.
-
-    Raises ValueError, before any arithmetic, if the DP has more than
-    DIRECT_MAX_STATES states."""
+    the prefix DP of the module docstring.  Raises ValueError, before any
+    arithmetic, if its work (_direct_work) is over DIRECT_MAX_WORK."""
     d, tag = fam.d, fam.tag
-    states, text = capped_count(_direct_states, fam, DIRECT_MAX_STATES)
-    if states > DIRECT_MAX_STATES:
+    work, text = capped_count(lambda f: _direct_work(f, euler), fam, DIRECT_MAX_WORK)
+    if work > DIRECT_MAX_WORK:
         raise ValueError(
-            f"the direct sum for {tag} d={d} walks {text} prefix states, over the cap "
-            f"{DIRECT_MAX_STATES}; lower --d or use --method recur"
+            f"the direct sum for {tag} d={d}{' with --euler' if euler else ''} walks {text} "
+            f"bits in shift-adds, over the cap {DIRECT_MAX_WORK}; lower --d or use --method recur"
         )
-    lay = _layout(fam, euler)  # a term's key eq + q_stride * es + slots * et is its digit index there
-    slots, des = lay.slots, lay.x_shift // lay.width  # the key of t, and of s (q_stride, or 0 without euler)
-    sign = d + 1 if tag == "BC" else d  # the sign part of a negative v is sign + v
-    rank = {v: r for r, v in enumerate(pm_coordinates(d, "A" if tag == "A" else "C"))}
-    # per value: itself, its <_pm rank, its bit and the bits of both signs of |v|
-    values = [(v, r, 1 << r, 1 << r | 1 << rank.get(-v, r)) for v, r in rank.items()]
-    layer: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
-    packed: dict[int, int] = {} if d else {0: 1}  # the sum over the group
+    lay = _layout(fam, euler)
+    w, s, t = lay.width, lay.x_shift, lay.width * lay.slots  # multiplying by q, s, t shifts by w, s, t bits
+    ns = _negative_counts(fam)
+    sign = [1] + [0] * d  # sign[n]: q^(the sign part) summed over the n-subsets N of {1..d}
+    for a in range(1, d + 1):
+        for n in range(min(a, ns[-1]), 0, -1):
+            sign[n] += sign[n - 1] << w * (d + 1 - a if tag == "BC" else d - a)
+    # (negatives left, last entry negative, its rank): the start acts as a positive of rank 0
+    layer = {(n, False, 0): sign[n] << t * n for n in ns}
     for pos in range(d):
-        final = pos == d - 1  # whole words go straight into packed
-        nxt: dict[tuple[int, int], dict[int, int]] = {}
+        nxt: dict[tuple[int, bool, int], int] = {}
         while layer:  # drained as it is read, so one layer and a half are alive
-            (mask, prev), poly = layer.popitem()
-            prev_rank = rank.get(prev, 0)
-            for v, r, bit, taken in values:
-                if mask & taken:
-                    continue
-                inc = (mask >> (r + 1)).bit_count()
-                if v < 0:
-                    inc += sign + v + slots
-                if pos:
-                    if prev > v:
-                        inc += pos * slots
-                    if r < prev_rank:
-                        inc += des
-                if final:
-                    if tag == "D" and ((mask | bit) >> d).bit_count() % 2:
-                        continue  # an odd number of negative values: not in type D
-                    if v < 0:  # a negative last entry is one more descent
-                        inc += des
-                    acc = packed
-                else:
-                    key = (mask | bit, v)
-                    acc = nxt.get(key)
-                    if acc is None:
-                        nxt[key] = {e + inc: c for e, c in poly.items()}
-                        continue
-                for e, c in poly.items():
-                    e += inc
-                    acc[e] = acc.get(e, 0) + c
+            (nl, neg, r), val = layer.popitem()
+            pl = d - pos - nl  # positives left
+            desc = t * pos + s  # a lower rank in the same class descends in both orders
+            for j in range(pl):
+                key = (nl, False, j)
+                nxt[key] = nxt.get(key, 0) + (val << w * j + (s if neg else desc if j < r else 0))
+            for j in range(nl):  # the positives left all come after a negative
+                key = (nl - 1, True, j)
+                nxt[key] = nxt.get(key, 0) + (val << w * (j + pl) + ((desc if j < r else 0) if neg else t * pos))
         layer = nxt
-    rows = [0] * (max(packed) // slots + 1)
-    for e, c in packed.items():
-        rows[e // slots] += c << (lay.width * (e % slots))
-    return _unpack(rows, lay)
+    total = sum(val << s if neg else val for (_, neg, _), val in layer.items())
+    size = t // 8  # bytes per row
+    buf = total.to_bytes(size * _row_count(fam), "little")
+    return _unpack([int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)], lay)
 
 
 class _Layout(NamedTuple):
@@ -240,6 +250,12 @@ class _Layout(NamedTuple):
     x_shift: int  # multiplying by the marker x is a left shift by this many bits
 
 
+def _row_count(fam: GroupFamily) -> int:
+    """Rows of the packed layout: the wmaj bound top(top+1)/2, plus 1."""
+    top = fam.d - 1 if fam.tag == "A" else fam.d
+    return top * (top + 1) // 2 + 1
+
+
 def _layout(fam: GroupFamily, euler: bool) -> _Layout:
     """The packed layout of mahonian_recursive(fam, euler), which
     mahonian_direct shares, from the closed bounds in the module docstring;
@@ -248,7 +264,7 @@ def _layout(fam: GroupFamily, euler: bool) -> _Layout:
     top = d - 1 if fam.tag == "A" else d
     q_stride = max_length(fam) + 1
     slots = q_stride * (max(top, 0) + 1 if euler else 1)
-    digits = (top * (top + 1) // 2 + 1) * slots
+    digits = _row_count(fam) * slots
     if digits * 8 <= RECUR_MAX_BITS:  # the L1 bound costs O(d^2): only size it when it can fit
         l1 = [1]  # l1[m] bounds the sum of |coefficients| of the type A interior M_m
         for m in range(1, d + 1):

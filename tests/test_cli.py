@@ -118,6 +118,20 @@ def test_recursion_output_is_pinned(capsys, family, marker):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, f"{family} d={d} {marker}"
 
 
+@pytest.mark.parametrize("family", ["A", "BC", "D"])
+@pytest.mark.parametrize("marker", ["plain", "euler"])
+def test_direct_output_matches_the_recursion_pins(capsys, family, marker):
+    """`mahonian --method enum --format json` gives the recursion's pinned
+    digest at every rank of test_recursion_output_is_pinned, all of which the
+    direct guard admits."""
+    euler = ("--euler",) if marker == "euler" else ()
+    for d, digest in enumerate(RECURSION_DIGESTS[f"{family} {marker}"]):
+        code, out = invoke(capsys, "mahonian", "--family", family, "--d", str(d),
+                           "--method", "enum", "--format", "json", *euler)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, f"{family} d={d} {marker}"
+
+
 RECURSION_FORMAT_DIGESTS = json.loads(pathlib.Path(__file__).with_name("recursion_format_digests.json").read_text())
 
 
@@ -363,12 +377,38 @@ def test_verify_reports_raising_checks_as_failures(capsys, monkeypatch):
     ]
 
 
+def test_runs_share_one_parser_per_registry(capsys, monkeypatch):
+    """The parser is built once and reused, and a patched registry (new
+    verify --check choices) gets a parser of its own."""
+    from weylmahonian import cli
+
+    built = []
+
+    def build():
+        built.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build)
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    for _ in range(2):
+        assert invoke(capsys, "mahonian", "--family", "A", "--d", "2") == (0, "1 + q*t\n")
+    assert len(built) == 1
+    def made_up(d):
+        return checks.CheckReport("made_up", {"d": d}, True, "0", "0", "")
+
+    monkeypatch.setitem(checks.REGISTRY, "made_up", (made_up, lambda *_: [{"d": 1}]))
+    code, out = invoke(capsys, "verify", "--check", "made_up")
+    assert code == 0 and out.startswith("PASS  made_up(d=1)")
+    assert len(built) == 2
+
+
 def test_enumeration_cap_reports_usage_error(capsys):
-    code, _ = invoke(capsys, "mahonian", "--family", "BC", "--d", "9")
+    code, _ = invoke(capsys, "mahonian", "--family", "BC", "--d", "17")
     assert code == 2
 
 
-@pytest.mark.parametrize("family, d", [("A", 11), ("BC", 8), ("D", 8), ("A", 500), ("A", 20000), ("BC", 10**7)])
+@pytest.mark.parametrize("family, d", [("A", 18), ("BC", 13), ("D", 13), ("A", 500), ("A", 20000), ("BC", 10**7)])
 def test_direct_work_guard_reports_usage_error(capsys, family, d):
     start = time.perf_counter()
     code = run(["mahonian", "--family", family, "--d", str(d), "--method", "enum", "--euler"])
@@ -378,7 +418,7 @@ def test_direct_work_guard_reports_usage_error(capsys, family, d):
     assert elapsed < 1.0
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith(f"error: the direct sum for {family} d={d} walks")
+    assert captured.err.startswith(f"error: the direct sum for {family} d={d} with --euler walks")
 
 
 @pytest.mark.parametrize("family, d", [("A", 300), ("C", 200), ("D", 150), ("A", 10**9)])

@@ -405,10 +405,11 @@ def test_signature_counts_match_the_walk(space):
     those counts is the weighted_flag_sum over the walk's flags."""
     import weylmahonian.flaggeom as fg
 
-    want = Counter(tuple(map(len, chain)) for chain in enumerate_flags(space))
+    flags = list(enumerate_flags(space))  # walked once for all three comparisons
+    want = Counter(tuple(map(len, chain)) for chain in flags)
     assert fg._signature_counts(space) == want
     for with_alpha in (False, True):
-        walked = fg.weighted_flag_sum(enumerate_flags(space), 12, with_alpha)
+        walked = fg.weighted_flag_sum(flags, 12, with_alpha)
         assert flag_series(space, 12, with_alpha) == walked
 
 

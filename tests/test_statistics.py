@@ -7,9 +7,10 @@ import pytest
 from weylmahonian import statistics
 from weylmahonian.algebra import MultiPoly
 from weylmahonian.statistics import (
-    DIRECT_MAX_STATES,
+    DIRECT_MAX_WORK,
     _Layout,
-    _direct_states,
+    _direct_shift_adds,
+    _direct_work,
     _flag_rows,
     _layout,
     _pack_q,
@@ -108,25 +109,35 @@ def test_direct_equals_per_element_sum_at_the_enumeration_cap(euler):
         assert mahonian_direct(fam, euler) == per_element_sum(fam, euler), (tag, d)
 
 
-@pytest.mark.parametrize("tag", ["A", "BC"])
+@pytest.mark.parametrize("tag", ["A", "BC", "D"])
 def test_direct_state_count_is_prefix_count(tag):
-    """The closed state count is the number of distinct (value set, last
-    entry) pairs over the nonempty prefixes of the group's words (type D
-    walks the BC states)."""
+    """The predicted shift-adds of the direct sum are the distinct
+    (position, state, next class, next rank) tuples over the prefixes of the
+    group's words.  A state is (negatives left, last entry negative, its rank
+    among its class's values left, itself counted); the empty prefix starts
+    as a positive of rank 0."""
     for d in range(6):
-        prefixes = {(frozenset(w[:k]), w[k - 1]) for w in enumerate_group(GroupFamily(tag, d)) for k in range(1, d + 1)}
-        assert _direct_states(GroupFamily(tag, d)) == len(prefixes)
-    assert _direct_states(GroupFamily("D", 5)) == _direct_states(GroupFamily("BC", 5))
+        moves = set()
+        for word in enumerate_group(GroupFamily(tag, d)):
+            state = (sum(v < 0 for v in word), False, 0)
+            for pos, v in enumerate(word):
+                rank = sum(u < v for u in word[pos:] if (u < 0) == (v < 0))
+                moves.add((pos, state, v < 0, rank))
+                state = (state[0] - (v < 0), v < 0, rank)
+        assert _direct_shift_adds(GroupFamily(tag, d)) == len(moves), d
 
 
 def test_direct_work_guard_bounds_the_states():
-    """The guard admits A d <= 10 and BC, D d <= 7, and refuses A d = 11 and
-    BC, D d = 8 before any arithmetic."""
-    for tag, top in (("A", 10), ("BC", 7), ("D", 7)):
-        assert _direct_states(GroupFamily(tag, top)) <= DIRECT_MAX_STATES < _direct_states(GroupFamily(tag, top + 1))
-        for d in (top + 1, top + 5, 60):
-            with pytest.raises(ValueError, match=f"{tag} d={d} walks .* prefix states, over the cap"):
-                mahonian_direct(GroupFamily(tag, d), euler=True)
+    """The guard on shift-adds times packed bits admits A d <= 25 (17 with
+    s) and BC, D d <= 16 (12 with s), and refuses the next ranks before any
+    arithmetic; up to the first refused rank the recursion's layout, which
+    sizes the packed bits, still fits."""
+    for tag, tops in (("A", (25, 17)), ("BC", (16, 12)), ("D", (16, 12))):
+        for euler, top in zip((False, True), tops):
+            assert _direct_work(GroupFamily(tag, top), euler) <= DIRECT_MAX_WORK < _direct_work(GroupFamily(tag, top + 1), euler)
+            for d in (top + 1, top + 5, 60):
+                with pytest.raises(ValueError, match=f"{tag} d={d}.* walks .* bits in shift-adds, over the cap"):
+                    mahonian_direct(GroupFamily(tag, d), euler=euler)
 
 
 def test_mahonian_recursive_examples():
@@ -372,8 +383,8 @@ def test_unpack_rejects_rows_wider_than_the_layout(width):
 @pytest.mark.parametrize("tag", ["A", "BC", "D"])
 @pytest.mark.parametrize("euler", [False, True])
 def test_unpack_matches_every_slot_on_recursion_rows(monkeypatch, tag, euler):
-    """The rows the recursion unpacks at every rank up to 8, and those of the
-    direct sum at every rank up to 8 that its guard admits."""
+    """The rows the recursion and the direct sum unpack at every rank up to 8
+    (the direct guard admits all of them)."""
     seen = []
 
     def spy(rows, lay):
@@ -384,7 +395,7 @@ def test_unpack_matches_every_slot_on_recursion_rows(monkeypatch, tag, euler):
     for d in range(9):
         fam = GroupFamily(tag, d)
         routes = [mahonian_recursive]
-        if _direct_states(fam) <= DIRECT_MAX_STATES:
+        if _direct_work(fam, euler) <= DIRECT_MAX_WORK:
             routes.append(mahonian_direct)
         for route in routes:
             poly = route(fam, euler=euler)
