@@ -36,37 +36,34 @@ The subspaces of a subspace W come from W's RREF basis B (pivots
 c_1 < ... < c_k): for U in RREF, U*B equals U at the columns c_j and vanishes
 left of each row's first 1, so U*B is in RREF, and U -> U*B maps the
 subspaces of F_p^k onto those of W in enumeration order (_below).  No
-containment relation is stored: flag_series counts the flags ending at each W
-by signature, pulled from all of W's proper subspaces; the canonical-basis
-tally counts complete flags by column, pulled from W's hyperplanes one level
-at a time; enumerate_flags builds its up-sets per call and walks them depth
-first.
+containment relation is stored: the canonical-basis tally counts complete
+flags by column, pulled from W's hyperplanes one level at a time;
+enumerate_flags builds its up-sets per call and walks them depth first.
 
-All three key their dicts by bytes, one byte per coordinate of the RREF rows
-(_key), and _below returns the same bytes for each image.  It packs B's rows
-as ints with one digit per coordinate and caches each U as its k columns,
-each an int with one n-digit block per row of U; U*B is then the sum of k
-products, one digit per entry.  An entry sums k products of residues, so
-before reduction it is at most k(p-1)^2, and a digit is the fewest bytes (a
-power of two) that hold that bound: one byte for every p <= 7 up to k = 7,
-two for p = 7 at k >= 8, p = 11 at k >= 3 and p = 13 at k >= 2.  The digits
-are written out with one to_bytes and reduced mod p without a Python-level
-loop: bytes.translate for one-byte digits, struct.unpack and a map for wider
-ones.  The signature counts of the flags ending at W are one int with a
-w-bit slot per signature; w is the bit length of prod_m C(n, m) p^(m(n-m)),
-which bounds every count before any is formed (_signature_counts).
+flag_series pulls nothing.  Sorted by its last member W (dim k), a flag is
+the image under U -> U*B of a chain of F_p^k ending at F_p^k, so the flags
+ending at W are counted by k alone, and the signature counts are
+1 + sum_k N_k f_k (_signature_counts): N_k counts the k-subspaces a flag may
+end at, f_k the chains of F_p^k ending at its top.  Both come from a census
+(subspace_census), one enumeration pass per space over every k that reads
+each hyperbolic subspace's metabolizer excess once (metabolizer_excess) and
+also serves the subspace-count checks.  This is the recursions' shape (the
+largest member, then a type A interior): the series stays independent of
+them only through N_k and f_k, which are enumerated and never taken from a
+closed form, and enumerate_flags with weighted_flag_sum stays its literal
+reference.
 
-The parity of a hyperbolic subspace W is read off L(W), the positions that
-are the last nonzero coordinate of some vector of W, with no elimination.
-The vectors of W whose last position is below d span W & I, so
-dim(W) - dim(W & I) = |L(W) & {d, ..., 2d-1}|.  L(W) is the union of
-the L sets of any subspaces of W that hold every vector of W between them
-(_last_positions).  flag_series takes W's lines, which _below lists anyway:
-a line's L set is the position of its key's last nonzero byte, so the
-series stores no mask.  The canonical-basis tally takes W's hyperplanes,
-whose masks it stores beside their states.  enumerate_flags and the
-hyperbolic count check still row-reduce (metabolizer_excess): the tests
-compare the two parities through the flags they count.
+The tally and the walk key their dicts by bytes, one byte per coordinate of
+the RREF rows (_key), and _below returns the same bytes for each image.  It
+packs B's rows as ints with one digit per coordinate and caches each U as
+its k columns, each an int with one n-digit block per row of U; U*B is then
+the sum of k products, one digit per entry.  An entry sums k products of
+residues, so before reduction it is at most k(p-1)^2, and a digit is the
+fewest bytes (a power of two) that hold that bound: one byte for every
+p <= 7 up to k = 7, two for p = 7 at k >= 8, p = 11 at k >= 3 and p = 13 at
+k >= 2.  The digits are written out with one to_bytes and reduced mod p
+without a Python-level loop: bytes.translate for one-byte digits,
+struct.unpack and a map for wider ones.
 """
 
 from __future__ import annotations
@@ -260,13 +257,15 @@ def _check_cells(space: FqSpace) -> None:
         raise ValueError(f"p^dim = {space.p}^{space.dim} exceeds the cell cap {MAX_CELLS}")
 
 
-def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
+def enumerate_subspaces(space: FqSpace, k: int, singular: dict[Vector, bool] | None = None) -> Iterator[Subspace]:
     """Deterministic stream of the k-dimensional subspaces a flag may contain,
     as RREF row tuples.
 
     For a linear space these are all k-dimensional subspaces; a typed space
     streams its totally isotropic ones (rows pairwise orthogonal, and Q = 0 on
-    the rows for the quadratic kinds), so none above dimension d.
+    the rows for the quadratic kinds), so none above dimension d.  Q is tested
+    once per distinct row and kept in singular, a fresh dict unless the
+    caller passes one to share across dimensions (subspace_census).
     """
     if not 0 <= k <= space.dim:
         raise ValueError(f"need 0 <= k <= {space.dim}, got {k}")
@@ -274,7 +273,7 @@ def enumerate_subspaces(space: FqSpace, k: int) -> Iterator[Subspace]:
     if k > space.iso_max:
         return
     dim, p = space.dim, space.p
-    singular: dict[Vector, bool] = {}  # Q(v) = 0, tested once per distinct row
+    singular = {} if singular is None else singular
     for pivots in combinations(range(dim), k):
         cands = [_row_candidates(dim, pivots, r, p) for r in range(k)]
         if space.kind == "linear" or not k:  # no pair of rows to test
@@ -324,6 +323,20 @@ def metabolizer_excess(space: FqSpace, rows: Subspace) -> int:
     return len(rref([row[space.d :] for row in rows], space.p))
 
 
+@lru_cache(maxsize=None)
+def subspace_census(space: FqSpace) -> Mapping[tuple[int, int], int]:
+    """The number of subspaces a flag may contain, by (dimension k, metabolizer
+    excess) for the hyperbolic space and by (k, 0) otherwise, k = 0..iso_max,
+    from one enumeration pass that tests Q once per distinct row across every
+    k (read-only: the cache hands it to every caller)."""
+    excess = partial(metabolizer_excess, space) if space.kind == "hyperbolic" else lambda rows: 0
+    census: Counter[tuple[int, int]] = Counter()
+    singular: dict[Vector, bool] = {}
+    for k in range(space.iso_max + 1):
+        census.update((k, excess(rows)) for rows in enumerate_subspaces(space, k, singular))
+    return MappingProxyType(dict(census))
+
+
 # -- flags ---------------------------------------------------------------------
 
 
@@ -334,12 +347,11 @@ def _key(sub: Subspace) -> bytes:
 
 def _last_positions(sub: Subspace, masks: Iterable[int]) -> int:
     """L(W) as a bit mask, the positions that are the last nonzero coordinate
-    of some vector of W, from the masks of W's lines (the series) or of its
-    hyperplanes (the tally).  L(W) holds the last position of W's last RREF
-    row, which is all of L(W) for a line: a line has no proper line, and its
-    one hyperplane, the zero subspace, has mask 0.  Once dim W >= 2 every
-    vector of W lies in a line and in a hyperplane of W, so L(W) is the union
-    of their L sets."""
+    of some vector of W, from the masks of W's hyperplanes.  L(W) holds the
+    last position of W's last RREF row, which is all of L(W) for a line,
+    whose one hyperplane, the zero subspace, has mask 0.  Once dim W >= 2
+    every vector of W lies in a hyperplane of W, so L(W) is the union of
+    their L sets."""
     return reduce(or_, masks, 1 << len(bytes(sub[-1]).rstrip(b"\0")) - 1)
 
 
@@ -450,37 +462,23 @@ def weighted_flag_sum(chains: Iterable[Flag], bound: int, with_alpha: bool = Fal
 def _signature_counts(space: FqSpace) -> Mapping[tuple[int, ...], int]:
     """The number of flags of each dimension signature, the counts that
     enumerate_flags would give, without listing a flag (read-only: the cache
-    hands them to every caller).  The flags ending at W != 0 are those ending
-    at W's proper subspaces, the zero subspace holding the empty flag, each
-    extended by W.  The counts of the flags ending at W are one int, with a
-    w-bit slot per signature at w * (its bitmask of dimensions, bit m-1 for
-    dim m): merging is a sum and appending dim W a left shift.  No flag count
-    reaches prod_m C(n, m) p^(m(n-m)), a bound on the product of the numbers
-    of subspaces of each dimension (RREF pivots and free entries), so no slot
-    carries.  For the hyperbolic space only the empty flag and the chains
-    ending at even parity are counted, the parity read off L(W) (module
-    docstring): W's lines are the (p^k - 1)/(p - 1) keys that _below lists
-    right after the zero subspace for dim W = k, and a line's last position
-    is that of its key's last nonzero byte, so no mask is kept.  The cell
-    cap is checked before the slot width is formed."""
+    hands them to every caller): 1 + sum_k N_k f_k (module docstring), N_k
+    from the space's census (even excess only for the hyperbolic space) and
+    f_k = sum_(j<k) N_j(F_p^k) f_j extended by k, f_0 = 1, from the census
+    of linear_space(p, k).  The counts are one int, with a w-bit slot per
+    signature at w * (its bitmask of dimensions, bit m-1 for dim m): merging
+    is a sum and appending dim k a left shift.  No flag count reaches
+    prod_m C(n, m) p^(m(n-m)), a bound on the product of the numbers of
+    subspaces of each dimension (RREF pivots and free entries), so no slot
+    carries.  The cell cap is checked before the slot width is formed."""
     _check_cells(space)
     top, n, p = space.iso_max, space.dim, space.p
     w = prod(comb(n, m) * p ** (m * (n - m)) for m in range(1, top + 1)).bit_length()
-    hyperbolic = space.kind == "hyperbolic"
-    ending = {b"": 1}  # key -> packed counts of the flags ending there
-    total = 1
+    chains = [1]  # f_k, the packed counts of the chains of F_p^k ending at F_p^k
     for k in range(1, top + 1):
-        lines = (p**k - 1) // (p - 1)
-        for sub in enumerate_subspaces(space, k):
-            below = _below(space, sub, range(k))
-            counts = sum(map(ending.__getitem__, below)) << (w << (k - 1))
-            if k < top:  # nothing is pulled from the top level
-                ending[_key(sub)] = counts
-            if hyperbolic:  # a line's last position is that of its key's last nonzero byte
-                last = (1 << len(line.rstrip(b"\0")) - 1 for line in below[1 : 1 + lines])
-                if (_last_positions(sub, last) >> space.d).bit_count() % 2:
-                    continue
-            total += counts
+        inner = subspace_census(linear_space(p, k))
+        chains.append(sum(inner[j, 0] * chains[j] for j in range(k)) << (w << (k - 1)))
+    total = sum(count * chains[k] for (k, excess), count in subspace_census(space).items() if excess % 2 == 0)
     slot = (1 << w) - 1
     return MappingProxyType(
         {

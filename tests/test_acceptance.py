@@ -4,7 +4,7 @@ Every comparison is exact (integer polynomial or count equality); there are
 no numeric tolerances anywhere.  Criterion 1 compares with the printed
 coefficient tables of types BC and D, d = 1..4.  Criteria 2-8 run the named
 registry checks over their default grids, the same points that
-``verify --all`` runs (416 points, 6-8 s as a whole process on 2 vCPUs), so
+``verify --all`` runs (420 points, 4.6-5.0 s as a whole process on 2 vCPUs), so
 the grids are defined only in ``weylmahonian.checks``:
 
   1. printed coefficient tables, types BC and D

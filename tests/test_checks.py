@@ -88,7 +88,7 @@ def test_flag_series_theorem_with_wide_image_digits(kind, p, d):
 @pytest.mark.parametrize(
     "kwargs, points, digest",
     [
-        ({}, 416, "a2248998b7e2aa07c6b67d89d0b3d5d8bf3855e7187d337694a5b44fb5d289c8"),
+        ({}, 420, "19aeea2b9ebfb2d0fb22402695a16a3d44b0e76bc0f0f6880e973e8de1bd0a39"),
         ({"max_d": 2}, 193, "abad4565b073a46b1ebae840830df539e2b60788d058342dfee907518448a26f"),
         ({"primes": [3], "trunc": 6}, 352, "3853267ced96af9b7309d879553390f1df930e99e9972a9d60e3353cbc0cfdfe"),
     ],

@@ -187,8 +187,8 @@ def test_verify_repeated_check_runs_once(capsys):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("--all",), "91bfbe879da779103a5aaf33d7a70ee73812fef161246020caaa8d43dad9dc57"),
-        (("--all", "--json"), "defe7dd88631d32c1567164cea10f182592730c2c0c528a9fb1b04c625415719"),
+        (("--all",), "9fb9274ebe8167d8b13b4582369ddbbd9d9f4c31ff3f8b4dbdef0c07e5cf92b4"),
+        (("--all", "--json"), "5e89b7ea47334ce55533db5b5ccac5a8d8c33242b6f5b501194a7f93671ea2d3"),
         (
             ("--all", "--max-d", "2", "--primes", "3", "--trunc", "6", "--json"),
             "4e0bd2bc097ea5900e9c7441f1d8f00413a1c0452d50831e48c8f5ffb05c3eb5",

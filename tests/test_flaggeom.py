@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from weylmahonian.algebra import MultiPoly, TruncSeries
+from weylmahonian.checks import subspace_count_grassmann, subspace_count_hyperbolic, subspace_count_isotropic
 from weylmahonian.flaggeom import (
     canonical_basis,
     count_canonical_bases,
@@ -356,9 +357,9 @@ def test_validate_flag_reached_only_through_canonical_basis(monkeypatch):
 
 
 def test_containment_is_read_by_walk_and_dp(monkeypatch):
-    """Every flag job finds the subspaces below each subspace through _below:
-    the walk of enumerate_flags, the signature counts of the series and the
-    tally, one job after the other."""
+    """The flag jobs that pull find the subspaces below each subspace through
+    _below: the walk of enumerate_flags and the tally, one job after the
+    other.  The series pulls nothing (module docstring)."""
     import weylmahonian.flaggeom as fg
 
     fg._signature_counts.cache_clear()
@@ -369,7 +370,7 @@ def test_containment_is_read_by_walk_and_dp(monkeypatch):
     fg._complete_flag_tally.__wrapped__(hyp)
     flags_by_canonical_basis(sp)
     jobs = [name for i, name in enumerate(callers) if not i or callers[i - 1] != name]
-    assert jobs == ["enumerate_flags", "_signature_counts", "_complete_flag_tally", "enumerate_flags"]
+    assert jobs == ["enumerate_flags", "_complete_flag_tally", "enumerate_flags"]
 
 
 def test_flag_series_lists_no_flag(monkeypatch):
@@ -395,14 +396,18 @@ def test_flag_series_lists_no_flag(monkeypatch):
         hyperbolic_space(5, 2),
         hyperbolic_space(7, 2),
         hyperbolic_space(5, 3),
-        hyperbolic_space(13, 2),  # two-byte image digits: the line keys come through _wide_residues
+        hyperbolic_space(13, 2),  # two-byte image digits: the walk's keys come through _wide_residues
+        quadratic_space(3, 3),
+        symplectic_space(3, 3),
+        linear_space(3, 5),
     ],
     ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
 )
 def test_signature_counts_match_the_walk(space):
-    """The DP counts each signature as often as the walk lists a flag with
-    it (even flags only for the hyperbolic space), and the series built from
-    those counts is the weighted_flag_sum over the walk's flags."""
+    """The sum over dimensions counts each signature as often as the walk
+    lists a flag with it (even flags only for the hyperbolic space), and the
+    series built from those counts is the weighted_flag_sum over the walk's
+    flags."""
     import weylmahonian.flaggeom as fg
 
     flags = list(enumerate_flags(space))  # walked once for all three comparisons
@@ -411,6 +416,31 @@ def test_signature_counts_match_the_walk(space):
     for with_alpha in (False, True):
         walked = fg.weighted_flag_sum(flags, 12, with_alpha)
         assert flag_series(space, 12, with_alpha) == walked
+
+
+def test_series_and_count_checks_enumerate_each_space_once(monkeypatch):
+    """The series makes no _below call, and with the subspace-count checks of
+    the same spaces it enumerates each (space, k) once: its census, and the
+    censuses of the linear spaces F_p^k its chain counts come from."""
+    import weylmahonian.flaggeom as fg
+
+    fg._signature_counts.cache_clear()
+    fg.subspace_census.cache_clear()
+    below = _caller_spy(monkeypatch, "_below")
+    real, calls = fg.enumerate_subspaces, Counter()
+    monkeypatch.setattr(fg, "enumerate_subspaces", lambda space, k, *rest: calls.update([(space, k)]) or real(space, k, *rest))
+    for space, check in (
+        (linear_space(3, 3), lambda: subspace_count_grassmann(3, 3)),
+        (symplectic_space(3, 2), lambda: subspace_count_isotropic("C", 3, 2)),
+        (quadratic_space(3, 2), lambda: subspace_count_isotropic("B", 3, 2)),
+        (hyperbolic_space(3, 3), lambda: subspace_count_hyperbolic(3, 3)),
+    ):
+        flag_series(space, 6)
+        flag_series(space, 6, with_alpha=True)
+        assert check().passed
+        assert {k for sp, k in calls if sp == space} == set(range(space.iso_max + 1))
+    assert below == []
+    assert calls and set(calls.values()) == {1}
 
 
 def test_enumerate_flags_is_lazy(monkeypatch):
@@ -424,8 +454,8 @@ def test_enumerate_flags_is_lazy(monkeypatch):
 
 def test_parity_is_read_once_per_subspace(monkeypatch):
     """Even flags are those whose last member has even parity.  The walk
-    reads it once per subspace, not once per flag; the series reads it off
-    the L masks and calls metabolizer_excess not at all."""
+    reads it once per subspace, not once per flag, and so does the series,
+    through the census, which the hyperbolic count check then reuses."""
     import weylmahonian.flaggeom as fg
 
     sp = hyperbolic_space(3, 2)
@@ -437,8 +467,11 @@ def test_parity_is_read_once_per_subspace(monkeypatch):
     assert seen and max(seen.values()) == 1
     seen.clear()
     fg._signature_counts.cache_clear()
+    fg.subspace_census.cache_clear()
     flag_series(sp, 6)
-    assert not seen
+    subspaces = sum(1 for k in range(3) for _ in enumerate_subspaces(sp, k))
+    assert len(seen) == subspaces and max(seen.values()) == 1
+    assert subspace_count_hyperbolic(3, 2).passed and sum(seen.values()) == subspaces
 
 
 def test_standard_flag_values():
@@ -526,6 +559,7 @@ def test_second_flag_walk_runs_no_containment_test(monkeypatch):
     import weylmahonian.flaggeom as fg
 
     fg._signature_counts.cache_clear()
+    fg.subspace_census.cache_clear()
     real, calls = fg.enumerate_subspaces, []
     monkeypatch.setattr(fg, "enumerate_subspaces", lambda *args: calls.append(args) or real(*args))
     space = symplectic_space(3, 2)
@@ -583,16 +617,16 @@ def test_flag_series_tests_no_containment(monkeypatch):
 
 @pytest.mark.parametrize("space", [quadratic_space(3, 3), hyperbolic_space(3, 3)], ids=lambda sp: sp.kind)
 def test_quadratic_filter_tests_each_row_once(monkeypatch, space):
-    """One call tests Q on each distinct candidate row once, although a row
-    is a candidate under every pivot set that leaves its support free."""
+    """The census tests Q on each distinct candidate row once per space across
+    k = 1..d, although a row is a candidate under every pivot set that leaves
+    its support free, at every k."""
     import weylmahonian.flaggeom as fg
 
     real, diagonal = fg.FqSpace.bilinear, []
     monkeypatch.setattr(fg.FqSpace, "bilinear", lambda sp, u, v: (u == v and diagonal.append(u)) or real(sp, u, v))
-    for k in range(1, space.d + 1):
-        diagonal.clear()
-        assert list(enumerate_subspaces(space, k))
-        assert diagonal and len(diagonal) == len(set(diagonal))
+    census = fg.subspace_census.__wrapped__(space)
+    assert {k for k, _ in census} == set(range(space.d + 1))
+    assert diagonal and len(diagonal) == len(set(diagonal))
 
 
 def test_deterministic_enumeration():
