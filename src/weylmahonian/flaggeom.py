@@ -20,8 +20,7 @@ for the typed spaces; for the hyperbolic space the *last* member must have
 even parity dim(V) - dim(V & I)).  Weighted flags are never enumerated
 weight by weight: each flag contributes the closed truncated factor
 prod_i x*t^(dim V_i) / (1 - x*t^(dim V_i)) with x = s or 1, which depends
-on the flag only through its dimension signature, so the flags are counted
-by signature and each signature's factor is formed once.
+on the flag only through its dimension signature.
 
 The k-dimensional subspaces are streamed pivot set by pivot set, each as
 the product of its rows' candidate lists (1 at the row's pivot, 0 at the
@@ -42,14 +41,16 @@ enumerate_flags builds its up-sets per call and walks them depth first.
 
 flag_series pulls nothing.  Sorted by its last member W (dim k), a flag is
 the image under U -> U*B of a chain of F_p^k ending at F_p^k, so the flags
-ending at W are counted by k alone, and the signature counts are
-1 + sum_k N_k f_k (_signature_counts): N_k counts the k-subspaces a flag may
-end at, f_k the chains of F_p^k ending at its top.  Both come from a census
+ending at W weigh F_k, the series of those chains, and the flag series is
+sum_k N_k F_k, with N_k the number of k-subspaces a flag may end at.  Split
+at the chain's second-to-last member, F_0 = 1 and
+F_k = g_k sum_(j<k) N_j(F_p^k) F_j, where g_k = x t^k + x^2 t^(2k) + ... is
+the top's factor: one series product per k.  The N's come from a census
 (subspace_census), one enumeration pass per space over every k that reads
 each hyperbolic subspace's metabolizer excess once (metabolizer_excess) and
 also serves the subspace-count checks.  This is the recursions' shape (the
 largest member, then a type A interior): the series stays independent of
-them only through N_k and f_k, which are enumerated and never taken from a
+them only through the N's, which are enumerated and never taken from a
 closed form, and enumerate_flags with weighted_flag_sum stays its literal
 reference.
 
@@ -73,7 +74,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial, reduce
 from itertools import combinations, product
-from math import comb, prod
 from operator import methodcaller, mul, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -431,10 +431,16 @@ def enumerate_flags(space: FqSpace, even_only: bool | None = None) -> Iterator[F
             stack.append(((*chain, sub), key))
 
 
-def _signature_sum(signatures: Mapping[tuple[int, ...], int], bound: int, with_alpha: bool) -> TruncSeries:
-    """Sum over the dimension signatures, each counted its number of times,
-    of prod_m (x t^m + x^2 t^(2m) + ...) with x = s if with_alpha: each
-    signature's product is formed once, from factors up to the largest m."""
+def weighted_flag_sum(chains: Iterable[Flag], bound: int, with_alpha: bool = False) -> TruncSeries:
+    """Sum over the chains of
+    prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha:
+    over the chains enumerate_flags lists, the literal reference for
+    flag_series.
+
+    A chain's term depends only on its dimension signature, so the chains are
+    counted by signature and each signature's product is formed once, from
+    factors up to the largest dimension."""
+    signatures = Counter(tuple(map(len, chain)) for chain in chains)
     top = max((m for signature in signatures for m in signature), default=0)
     factors = [
         TruncSeries.geometric_factor(m, with_alpha, bound) - TruncSeries.one(bound)
@@ -449,53 +455,25 @@ def _signature_sum(signatures: Mapping[tuple[int, ...], int], bound: int, with_a
     return total
 
 
-def weighted_flag_sum(chains: Iterable[Flag], bound: int, with_alpha: bool = False) -> TruncSeries:
-    """Sum over the chains of
-    prod_i (x t^(dim V_i) + x^2 t^(2 dim V_i) + ...) with x = s if with_alpha.
-
-    A chain's term depends only on its dimension signature, so the chains are
-    counted by signature."""
-    return _signature_sum(Counter(tuple(map(len, chain)) for chain in chains), bound, with_alpha)
-
-
-@lru_cache(maxsize=None)
-def _signature_counts(space: FqSpace) -> Mapping[tuple[int, ...], int]:
-    """The number of flags of each dimension signature, the counts that
-    enumerate_flags would give, without listing a flag (read-only: the cache
-    hands them to every caller): 1 + sum_k N_k f_k (module docstring), N_k
-    from the space's census (even excess only for the hyperbolic space) and
-    f_k = sum_(j<k) N_j(F_p^k) f_j extended by k, f_0 = 1, from the census
-    of linear_space(p, k).  The counts are one int, with a w-bit slot per
-    signature at w * (its bitmask of dimensions, bit m-1 for dim m): merging
-    is a sum and appending dim k a left shift.  No flag count reaches
-    prod_m C(n, m) p^(m(n-m)), a bound on the product of the numbers of
-    subspaces of each dimension (RREF pivots and free entries), so no slot
-    carries.  The cell cap is checked before the slot width is formed."""
-    _check_cells(space)
-    top, n, p = space.iso_max, space.dim, space.p
-    w = prod(comb(n, m) * p ** (m * (n - m)) for m in range(1, top + 1)).bit_length()
-    chains = [1]  # f_k, the packed counts of the chains of F_p^k ending at F_p^k
-    for k in range(1, top + 1):
-        inner = subspace_census(linear_space(p, k))
-        chains.append(sum(inner[j, 0] * chains[j] for j in range(k)) << (w << (k - 1)))
-    total = sum(count * chains[k] for (k, excess), count in subspace_census(space).items() if excess % 2 == 0)
-    slot = (1 << w) - 1
-    return MappingProxyType(
-        {
-            tuple(m for m in range(1, top + 1) if mask >> (m - 1) & 1): count
-            for mask in range(1 << top)
-            if (count := total >> (w * mask) & slot)
-        }
-    )
-
-
 def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSeries:
     """Generating series of weighted flags: the weighted_flag_sum over all
-    flags of the space, from their signature counts.
+    flags of the space (even flags for the hyperbolic space), without listing
+    a flag: sum_k N_k F_k by the census recursion (module docstring), N_k
+    from the space's census and N_j(F_p^k) from that of linear_space(p, k).
+    The cell cap is checked and the bound validated before any subspace is
+    enumerated."""
+    _check_cells(space)
+    one = TruncSeries.one(bound)
 
-    For the hyperbolic space the sum runs over even flags.
-    """
-    return _signature_sum(_signature_counts(space), bound, with_alpha)
+    def combination(terms: Iterable[tuple[int, TruncSeries]]) -> TruncSeries:
+        return TruncSeries.from_poly(sum((n * series.poly for n, series in terms), MultiPoly()), bound)
+
+    chains = [one]  # F_0, F_1, ...
+    for k in range(1, space.iso_max + 1):
+        inner = subspace_census(linear_space(space.p, k))
+        g = TruncSeries.geometric_factor(k, with_alpha, bound) - one
+        chains.append(g * combination((inner[j, 0], chain) for j, chain in enumerate(chains)))
+    return combination((n, chains[k]) for (k, excess), n in subspace_census(space).items() if excess % 2 == 0)
 
 
 # -- canonical bases ------------------------------------------------------------

@@ -362,7 +362,7 @@ def test_containment_is_read_by_walk_and_dp(monkeypatch):
     other.  The series pulls nothing (module docstring)."""
     import weylmahonian.flaggeom as fg
 
-    fg._signature_counts.cache_clear()
+    fg.subspace_census.cache_clear()
     callers = _caller_spy(monkeypatch, "_below")
     sp, hyp = linear_space(2, 3), hyperbolic_space(3, 2)
     list(enumerate_flags(hyp))
@@ -404,18 +404,17 @@ def test_flag_series_lists_no_flag(monkeypatch):
     ids=lambda sp: f"{sp.kind}-p{sp.p}-d{sp.d}",
 )
 def test_signature_counts_match_the_walk(space):
-    """The sum over dimensions counts each signature as often as the walk
-    lists a flag with it (even flags only for the hyperbolic space), and the
-    series built from those counts is the weighted_flag_sum over the walk's
-    flags."""
+    """The series from the census recursion is the weighted_flag_sum over the
+    flags the walk lists (even flags only for the hyperbolic space), plain
+    and s-marked, up to a bound that holds every flag's leading term: a flag
+    of dimensions 1, ..., iso_max starts at t^(iso_max (iso_max + 1) / 2)."""
     import weylmahonian.flaggeom as fg
 
-    flags = list(enumerate_flags(space))  # walked once for all three comparisons
-    want = Counter(tuple(map(len, chain)) for chain in flags)
-    assert fg._signature_counts(space) == want
+    flags = list(enumerate_flags(space))  # walked once for both markers
+    bound = max(12, space.iso_max * (space.iso_max + 1) // 2)
     for with_alpha in (False, True):
-        walked = fg.weighted_flag_sum(flags, 12, with_alpha)
-        assert flag_series(space, 12, with_alpha) == walked
+        walked = fg.weighted_flag_sum(flags, bound, with_alpha)
+        assert flag_series(space, bound, with_alpha) == walked
 
 
 def test_series_and_count_checks_enumerate_each_space_once(monkeypatch):
@@ -424,7 +423,6 @@ def test_series_and_count_checks_enumerate_each_space_once(monkeypatch):
     censuses of the linear spaces F_p^k its chain counts come from."""
     import weylmahonian.flaggeom as fg
 
-    fg._signature_counts.cache_clear()
     fg.subspace_census.cache_clear()
     below = _caller_spy(monkeypatch, "_below")
     real, calls = fg.enumerate_subspaces, Counter()
@@ -466,7 +464,6 @@ def test_parity_is_read_once_per_subspace(monkeypatch):
     assert list(enumerate_flags(sp)) == want
     assert seen and max(seen.values()) == 1
     seen.clear()
-    fg._signature_counts.cache_clear()
     fg.subspace_census.cache_clear()
     flag_series(sp, 6)
     subspaces = sum(1 for k in range(3) for _ in enumerate_subspaces(sp, k))
@@ -554,11 +551,10 @@ def test_space_for_family():
 
 
 def test_second_flag_walk_runs_no_containment_test(monkeypatch):
-    """A space's signature counts are built once: the s-marked series of a
-    space whose plain series is already known enumerates no subspace again."""
+    """A space's census is built once: the s-marked series of a space whose
+    plain series is already known enumerates no subspace again."""
     import weylmahonian.flaggeom as fg
 
-    fg._signature_counts.cache_clear()
     fg.subspace_census.cache_clear()
     real, calls = fg.enumerate_subspaces, []
     monkeypatch.setattr(fg, "enumerate_subspaces", lambda *args: calls.append(args) or real(*args))
@@ -604,15 +600,41 @@ def test_images_wider_than_a_byte_match_pairwise_definition():
 
 
 def test_flag_series_tests_no_containment(monkeypatch):
-    """Finding each subspace's subspaces from its own basis makes no
-    subspace_le call."""
+    """The series enumerates its census (the cache is cleared, so it cannot
+    reuse one an earlier test built) and makes no subspace_le call."""
     import weylmahonian.flaggeom as fg
 
-    fg._signature_counts.cache_clear()
+    fg.subspace_census.cache_clear()
     real, calls = fg.subspace_le, []
     monkeypatch.setattr(fg, "subspace_le", lambda *args: calls.append(args) or real(*args))
+    enumerated = _caller_spy(monkeypatch, "enumerate_subspaces")
     flag_series(symplectic_space(7, 2), 12)
     assert calls == []
+    assert enumerated
+
+
+@pytest.mark.parametrize("space", [linear_space(2, 4), hyperbolic_space(3, 3)], ids=lambda sp: sp.kind)
+def test_flag_series_makes_one_series_product_per_dimension(monkeypatch, space):
+    """The census recursion forms F_k with one series product per k, so a
+    series takes at most iso_max TruncSeries products, plain or s-marked,
+    however many dimension signatures its flags have."""
+    real, products = TruncSeries.__mul__, []
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda a, b: products.append(a) or real(a, b))
+    for with_alpha in (False, True):
+        products.clear()
+        flag_series(space, 12, with_alpha)
+        assert 0 < len(products) <= space.iso_max
+
+
+def test_flag_series_checks_its_bound_before_enumerating(monkeypatch):
+    """A negative bound is refused before the census enumerates a subspace."""
+    import weylmahonian.flaggeom as fg
+
+    fg.subspace_census.cache_clear()
+    enumerated = _caller_spy(monkeypatch, "enumerate_subspaces")
+    with pytest.raises(ValueError, match="truncation bound"):
+        flag_series(linear_space(5, 4), -1)
+    assert enumerated == []
 
 
 @pytest.mark.parametrize("space", [quadratic_space(3, 3), hyperbolic_space(3, 3)], ids=lambda sp: sp.kind)
