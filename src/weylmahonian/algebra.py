@@ -14,10 +14,10 @@ All coefficients are Python ints (arbitrary precision); no floats anywhere.
 
 A TruncSeries is a power series in t truncated at a fixed degree ``bound``:
 one MultiPoly with no term of t-degree above the bound.  Its arithmetic is
-the MultiPoly arithmetic followed by dropping the terms above t^bound, which
-makes products of the geometric factors 1/(1-t^j) and 1/(1-s*t^j) finite
-objects.  The coefficient of t^n, a MultiPoly in q and s only, is read off
-the terms of t-degree n.
+the MultiPoly arithmetic followed by dropping the terms above t^bound.  The
+geometric factors 1/(1-t^j) and 1/(1-s*t^j) are quotients built in one pass
+(TruncSeries.over), so no command multiplies two series.  The coefficient
+of t^n, a MultiPoly in q and s only, is read off the terms of t-degree n.
 
 Term order everywhere (iteration, text, JSON, LaTeX) is lexicographic on
 (eq, et, es), so all emitted output is byte-stable.
@@ -376,10 +376,7 @@ class TruncSeries:
     @classmethod
     def geometric_factor(cls, j: int, with_s: bool, bound: int) -> "TruncSeries":
         """1 + x*t^j + x^2*t^2j + ... truncated, with x = s if with_s else 1."""
-        if j < 1:
-            raise ValueError("geometric factor needs j >= 1")
-        terms = {(0, m * j, m if with_s else 0): 1 for m in range(bound // j + 1)}
-        return cls.from_poly(MultiPoly(terms), bound)
+        return cls.one(bound).over(j, with_s=with_s)
 
     @property
     def coeffs(self) -> list[MultiPoly]:
@@ -415,6 +412,22 @@ class TruncSeries:
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_bound(other)
         return TruncSeries.from_poly(self.poly * other.poly, self.bound)
+
+    def over(self, *js: int, with_s: bool = False) -> "TruncSeries":
+        """self / prod_j (1 - x*t^j), truncated, with x = s if with_s else 1.
+        Each quotient H is built upward in t as H_n = S_n + x*H_(n-j), on one
+        {(eq, es): c} dict per t-degree: one pass over H's terms, no product."""
+        if any(j < 1 for j in js):
+            raise ValueError("geometric factor needs j >= 1")
+        rows: list[dict[tuple[int, int], int]] = [{} for _ in range(self.bound + 1)]
+        for (eq, et, es), c in self.poly.terms.items():
+            rows[et][eq, es] = c
+        for j in js:
+            for low, row in zip(rows, rows[j:]):
+                for (eq, es), c in low.items():
+                    row[eq, es + with_s] = row.get((eq, es + with_s), 0) + c
+        terms = {(eq, n, es): c for n, row in enumerate(rows) for (eq, es), c in row.items()}
+        return TruncSeries.from_poly(MultiPoly(terms), self.bound)
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -412,8 +412,8 @@ def descent_statistic_matches_coxeter(family: str, d: int) -> Verdict:
 def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = False) -> Verdict:
     """Flag-series oracle against the group-statistics side.
 
-    Types A, C, D compare the enumerated series with mahonian * product of
-    geometric factors at q=p; type B compares with the type-C series.
+    Types A, C, D compare the enumerated series with mahonian at q=p over
+    prod_j (1 - x t^j) (TruncSeries.over); type B compares with the C series.
     """
     space = flaggeom.space_for_family(kind, p, d)
     lhs = flaggeom.flag_series(space, trunc, with_alpha=alpha)
@@ -421,9 +421,7 @@ def flag_series_theorem(kind: str, p: int, d: int, trunc: int, alpha: bool = Fal
         rhs = flaggeom.flag_series(flaggeom.symplectic_space(p, d), trunc, with_alpha=alpha)
     else:
         m = statistics.mahonian_recursive(space.family, euler=alpha).specialize(q=p)
-        rhs = TruncSeries.from_poly(m, trunc)
-        for j in range(1, d + 1):
-            rhs = rhs * TruncSeries.geometric_factor(j, alpha, trunc)
+        rhs = TruncSeries.from_poly(m, trunc).over(*range(1, d + 1), with_s=alpha)
     return _verdict(lhs, rhs)
 
 
@@ -578,9 +576,7 @@ def standard_fiber_series(p: int, d: int, trunc: int) -> Verdict:
         (basis, perm), chains = bucket
         got = flaggeom.weighted_flag_sum(chains, trunc)
         _, weight = flaggeom.standard_flag(perm, space.family)
-        want = TruncSeries.from_poly(MultiPoly.monomial(1, et=weight), trunc)
-        for j in range(1, d + 1):
-            want = want * TruncSeries.geometric_factor(j, False, trunc)
+        want = TruncSeries.from_poly(MultiPoly.monomial(1, et=weight), trunc).over(*range(1, d + 1))
         return f"fiber series mismatch for basis {basis}" if got != want else None
 
     buckets = flaggeom.flags_by_canonical_basis(space)

@@ -43,16 +43,16 @@ flag_series pulls nothing.  Sorted by its last member W (dim k), a flag is
 the image under U -> U*B of a chain of F_p^k ending at F_p^k, so the flags
 ending at W weigh F_k, the series of those chains, and the flag series is
 sum_k N_k F_k, with N_k the number of k-subspaces a flag may end at.  Split
-at the chain's second-to-last member, F_0 = 1 and
-F_k = g_k sum_(j<k) N_j(F_p^k) F_j, where g_k = x t^k + x^2 t^(2k) + ... is
-the top's factor: one series product per k.  The N's come from a census
-(subspace_census), one enumeration pass per space over every k that reads
-each hyperbolic subspace's metabolizer excess once (metabolizer_excess) and
-also serves the subspace-count checks.  This is the recursions' shape (the
-largest member, then a type A interior): the series stays independent of
-them only through the N's, which are enumerated and never taken from a
-closed form, and enumerate_flags with weighted_flag_sum stays its literal
-reference.
+at the chain's second-to-last member, F_0 = 1 and F_k = g_k S with
+S = sum_(j<k) N_j(F_p^k) F_j and g_k = x t^k + x^2 t^(2k) + ... the top's
+factor, so F_k = S/(1 - x t^k) - S: one pass, no series product.  The N's
+come from a census (subspace_census), one enumeration pass per space over
+every k that reads each hyperbolic subspace's metabolizer excess once
+(metabolizer_excess) and also serves the subspace-count checks.  This is
+the recursions' shape (the largest member, then a type A interior): the
+series stays independent of them only through the N's, which are
+enumerated and never taken from a closed form, and enumerate_flags with
+weighted_flag_sum stays its literal reference.
 
 The tally and the walk key their dicts by bytes, one byte per coordinate of
 the RREF rows (_key), and _below returns the same bytes for each image.  It
@@ -438,19 +438,14 @@ def weighted_flag_sum(chains: Iterable[Flag], bound: int, with_alpha: bool = Fal
     flag_series.
 
     A chain's term depends only on its dimension signature, so the chains are
-    counted by signature and each signature's product is formed once, from
-    factors up to the largest dimension."""
+    counted by signature and each signature's term is formed once, each
+    factor applied as term/(1 - x t^m) - term (TruncSeries.over)."""
     signatures = Counter(tuple(map(len, chain)) for chain in chains)
-    top = max((m for signature in signatures for m in signature), default=0)
-    factors = [
-        TruncSeries.geometric_factor(m, with_alpha, bound) - TruncSeries.one(bound)
-        for m in range(1, top + 1)
-    ]
     total = TruncSeries.zero(bound)
     for signature, count in signatures.items():
         term = TruncSeries(bound, [MultiPoly.const(count)])
         for m in signature:
-            term = term * factors[m - 1]
+            term = term.over(m, with_s=with_alpha) - term
         total = total + term
     return total
 
@@ -463,16 +458,15 @@ def flag_series(space: FqSpace, bound: int, with_alpha: bool = False) -> TruncSe
     The cell cap is checked and the bound validated before any subspace is
     enumerated."""
     _check_cells(space)
-    one = TruncSeries.one(bound)
 
     def combination(terms: Iterable[tuple[int, TruncSeries]]) -> TruncSeries:
         return TruncSeries.from_poly(sum((n * series.poly for n, series in terms), MultiPoly()), bound)
 
-    chains = [one]  # F_0, F_1, ...
+    chains = [TruncSeries.one(bound)]  # F_0, F_1, ...
     for k in range(1, space.iso_max + 1):
         inner = subspace_census(linear_space(space.p, k))
-        g = TruncSeries.geometric_factor(k, with_alpha, bound) - one
-        chains.append(g * combination((inner[j, 0], chain) for j, chain in enumerate(chains)))
+        below = combination((inner[j, 0], chain) for j, chain in enumerate(chains))
+        chains.append(below.over(k, with_s=with_alpha) - below)
     return combination((n, chains[k]) for (k, excess), n in subspace_census(space).items() if excess % 2 == 0)
 
 

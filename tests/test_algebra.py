@@ -206,6 +206,24 @@ def test_series_partition_counts():
     assert [c.evaluate() for c in prod.coeffs] == expected == [1, 1, 2, 2, 3]
 
 
+def test_series_over_matches_explicit_geometric_series():
+    """over(j) is the product with sum_m x^m t^(mj), written out here, on
+    random series in q, t and s; factors compose, and over() is the identity."""
+    rng = random.Random(29)
+    for bound in range(8):
+        for _ in range(6):
+            series = TruncSeries.from_poly(random_poly(rng), bound)
+            for with_s in (False, True):
+                for j in (1, 2, 3, bound + 1, bound + 5):
+                    geometric = MultiPoly({(0, m * j, m if with_s else 0): 1 for m in range(bound // j + 1)})
+                    want = series * TruncSeries.from_poly(geometric, bound)
+                    assert series.over(j, with_s=with_s) == want
+                assert series.over(1, 2, with_s=with_s) == series.over(1, with_s=with_s).over(2, with_s=with_s)
+            assert series.over() == series
+            with pytest.raises(ValueError, match="j >= 1"):
+                series.over(0)
+
+
 def test_series_bound_mismatch():
     with pytest.raises(ValueError):
         TruncSeries.one(3) * TruncSeries.one(4)

@@ -7,7 +7,13 @@ from itertools import product
 import pytest
 
 from weylmahonian.algebra import MultiPoly, TruncSeries
-from weylmahonian.checks import subspace_count_grassmann, subspace_count_hyperbolic, subspace_count_isotropic
+from weylmahonian.checks import (
+    flag_series_theorem,
+    standard_fiber_series,
+    subspace_count_grassmann,
+    subspace_count_hyperbolic,
+    subspace_count_isotropic,
+)
 from weylmahonian.flaggeom import (
     canonical_basis,
     count_canonical_bases,
@@ -27,6 +33,7 @@ from weylmahonian.flaggeom import (
     standard_flag,
     subspace_le,
     symplectic_space,
+    weighted_flag_sum,
 )
 from weylmahonian.statistics import (
     hyperbolic_isotropic_count,
@@ -181,11 +188,14 @@ def test_flag_series_constant_term_is_one():
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_flag_series_theorem_type_a(p, d):
-    lhs = flag_series(linear_space(p, d), 8)
-    rhs = TruncSeries.from_poly(mahonian_direct(GroupFamily("A", d)).specialize(q=p), 8)
-    for j in range(1, d + 1):
-        rhs = rhs * TruncSeries.geometric_factor(j, False, 8)
-    assert lhs == rhs
+    """The series against explicit products of the geometric factors, far
+    past the flags' leading terms, plain and s-marked."""
+    for alpha in (False, True):
+        lhs = flag_series(linear_space(p, d), 40, alpha)
+        rhs = TruncSeries.from_poly(mahonian_direct(GroupFamily("A", d), euler=alpha).specialize(q=p), 40)
+        for j in range(1, d + 1):
+            rhs = rhs * TruncSeries.geometric_factor(j, alpha, 40)
+        assert lhs == rhs
 
 
 def test_flag_series_type_b_equals_type_c():
@@ -614,16 +624,30 @@ def test_flag_series_tests_no_containment(monkeypatch):
 
 
 @pytest.mark.parametrize("space", [linear_space(2, 4), hyperbolic_space(3, 3)], ids=lambda sp: sp.kind)
-def test_flag_series_makes_one_series_product_per_dimension(monkeypatch, space):
-    """The census recursion forms F_k with one series product per k, so a
-    series takes at most iso_max TruncSeries products, plain or s-marked,
-    however many dimension signatures its flags have."""
-    real, products = TruncSeries.__mul__, []
-    monkeypatch.setattr(TruncSeries, "__mul__", lambda a, b: products.append(a) or real(a, b))
+def test_flag_series_makes_no_series_product(monkeypatch, space):
+    """Geometric factors are divided out with TruncSeries.over, so neither the
+    series, nor weighted_flag_sum over a walk, nor one point of each series
+    check multiplies two series, plain or s-marked; every polynomial product
+    the series makes has a one-term operand (the counts N scaling a series)."""
+    real_series, real_poly = TruncSeries.__mul__, MultiPoly.__mul__
+    series_products, operand_sizes = [], []
+
+    def poly_mul(a, b):
+        operand_sizes.append(min(len(a.terms), len(b.terms) if isinstance(b, MultiPoly) else 1))
+        return real_poly(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", lambda a, b: series_products.append(a) or real_series(a, b))
+    monkeypatch.setattr(MultiPoly, "__mul__", poly_mul)
+    monkeypatch.setattr(MultiPoly, "__rmul__", poly_mul)
+    walk = list(enumerate_flags(linear_space(2, 3)))
     for with_alpha in (False, True):
-        products.clear()
+        operand_sizes.clear()
         flag_series(space, 12, with_alpha)
-        assert 0 < len(products) <= space.iso_max
+        assert operand_sizes and max(operand_sizes) <= 1
+        weighted_flag_sum(walk, 12, with_alpha)
+        assert flag_series_theorem({"linear": "A", "hyperbolic": "D"}[space.kind], space.p, 2, 12, with_alpha).passed
+    assert standard_fiber_series(2, 2, 12).passed
+    assert series_products == []
 
 
 def test_flag_series_checks_its_bound_before_enumerating(monkeypatch):
