@@ -7,6 +7,9 @@ coefficients:
 
 with (eq, et, es) the degrees of q, t, s in the monomial.  Zero coefficients
 are never stored, so two polynomials are equal iff their term maps are equal.
+MultiPoly(...) checks terms from outside and raises ValueError on a negative
+exponent; ring and series results, zero-free by construction from checked
+operands, are built through MultiPoly._wrap and skip that check.
 The map is a read-only view and no field of a MultiPoly or TruncSeries can be
 rebound or deleted, so a value handed out by a cache or held as a module
 constant cannot be changed in place.
@@ -108,14 +111,14 @@ class MultiPoly:
         return hash(frozenset(self.terms.items()))
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self.terms.items()})
+        return MultiPoly._wrap({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other: "MultiPoly | int") -> "MultiPoly":
         other = _coerce(other)
         out = self.terms.copy()
         for e, c in other.terms.items():
             out[e] = out.get(e, 0) + c
-        return MultiPoly(out)
+        return MultiPoly._wrap({e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
@@ -126,15 +129,15 @@ class MultiPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "MultiPoly | int") -> "MultiPoly":
+        if isinstance(other, int):
+            return MultiPoly._wrap({e: c * other for e, c in self.terms.items()} if other else {})
         other = _coerce(other)
-        if not self.terms or not other.terms:
-            return MultiPoly()
         out: dict[Exponent, int] = {}
         for (aq, at, as_), ac in self.terms.items():
             for (bq, bt, bs), bc in other.terms.items():
                 e = (aq + bq, at + bt, as_ + bs)
                 out[e] = out.get(e, 0) + ac * bc
-        return MultiPoly(out)
+        return MultiPoly._wrap({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -245,7 +248,7 @@ class MultiPoly:
                     rem[k] = nc
                 else:
                     rem.pop(k, None)
-        return MultiPoly(out)
+        return MultiPoly._wrap(out)
 
     # -- emitters ----------------------------------------------------------
 
@@ -334,7 +337,7 @@ def poly_latex_table(p: MultiPoly) -> str:
         row = [label]
         for j in range(dq + 1):
             c = cells.get((i, j))
-            row.append("" if c is None else poly_text(MultiPoly(c)).replace("*", ""))
+            row.append("" if c is None else poly_text(MultiPoly._wrap(c)).replace("*", ""))
         lines.append("&".join(row) + r"\\")
     lines.append(r"\end{array}")
     return "\n".join(lines)
@@ -356,7 +359,7 @@ class TruncSeries:
             raise ValueError("series coefficients must be free of t")
         terms = {(eq, n, es): v for n, c in enumerate(cs) for (eq, _, es), v in c.terms.items()}
         object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "poly", MultiPoly(terms))
+        object.__setattr__(self, "poly", MultiPoly(terms) if terms else ZERO)
 
     @classmethod
     def zero(cls, bound: int) -> "TruncSeries":
@@ -370,7 +373,7 @@ class TruncSeries:
     def from_poly(cls, p: MultiPoly, bound: int) -> "TruncSeries":
         """Truncate a polynomial: drop its terms above t^bound."""
         out = cls(bound)
-        object.__setattr__(out, "poly", MultiPoly({e: c for e, c in p.terms.items() if e[1] <= bound}))
+        object.__setattr__(out, "poly", MultiPoly._wrap({e: c for e, c in p.terms.items() if e[1] <= bound}))
         return out
 
     @classmethod
@@ -384,13 +387,13 @@ class TruncSeries:
         rows: list[dict[Exponent, int]] = [{} for _ in range(self.bound + 1)]
         for (eq, et, es), c in self.poly.terms.items():
             rows[et][(eq, 0, es)] = c
-        return [MultiPoly(r) for r in rows]
+        return [MultiPoly._wrap(r) for r in rows]
 
     def coefficient(self, n: int) -> MultiPoly:
         """The coefficient of t^n, for 0 <= n <= bound."""
         if not 0 <= n <= self.bound:
             raise ValueError(f"t-degree {n} is outside 0..{self.bound}")
-        return MultiPoly({(eq, 0, es): c for (eq, et, es), c in self.poly.terms.items() if et == n})
+        return MultiPoly._wrap({(eq, 0, es): c for (eq, et, es), c in self.poly.terms.items() if et == n})
 
     def _check_bound(self, other: "TruncSeries") -> None:
         if self.bound != other.bound:
@@ -426,8 +429,8 @@ class TruncSeries:
             for low, row in zip(rows, rows[j:]):
                 for (eq, es), c in low.items():
                     row[eq, es + with_s] = row.get((eq, es + with_s), 0) + c
-        terms = {(eq, n, es): c for n, row in enumerate(rows) for (eq, es), c in row.items()}
-        return TruncSeries.from_poly(MultiPoly(terms), self.bound)
+        terms = {(eq, n, es): c for n, row in enumerate(rows) for (eq, es), c in row.items() if c}
+        return TruncSeries.from_poly(MultiPoly._wrap(terms), self.bound)
 
     def __str__(self) -> str:
         parts: list[str] = []

@@ -188,6 +188,9 @@ def run_all(
     *[{"family": "A", "d": d, "euler": e} for d in (8, 9, 10) for e in (False, True)],
     *[{"family": "BC", "d": d, "euler": e} for d in (6, 7) for e in (False, True)],
     *[{"family": "D", "d": d, "euler": False} for d in (6, 7)],
+    *[{"family": "A", "d": d, "euler": e} for d in range(11, 15) for e in (False, True)],
+    *[{"family": "BC", "d": d, "euler": e} for d in range(8, 13) for e in (False, True)],
+    *[{"family": "D", "d": d, "euler": False} for d in range(8, 13)],
 ))
 def direct_vs_recursive(family: str, d: int, euler: bool = False) -> Verdict:
     fam = GroupFamily(family, d)
@@ -196,7 +199,7 @@ def direct_vs_recursive(family: str, d: int, euler: bool = False) -> Verdict:
     return _verdict(lhs, rhs)
 
 
-@_check(_points(d=list(range(8))), gating=False)
+@_check(_points(d=list(range(13))), gating=False)
 def d_euler_direct_vs_recursive(d: int) -> Verdict:
     return direct_vs_recursive.__wrapped__("D", d, euler=True)
 

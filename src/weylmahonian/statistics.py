@@ -37,9 +37,9 @@ BC, the even ones for D, and n = 0 for A.  A state holds one Python int in
 the recursion's layout (_Layout, below): its digit eq + q_stride es +
 slots et counts the prefixes with q^eq t^et s^es, so multiplying by q, s
 and t is a left shift by w, x_shift and w slots bits, and each placement is
-one shift-add.  The sum over whole words is cut into rows of w slots bits
-and decoded by the recursion's _unpack, so both routes emit their terms
-through one decoder, in lexicographic order.
+one shift-add.  The bytes of the sum over whole words are cut into rows of
+w slots / 8 bytes and decoded by the recursion's _unpack, so both routes
+emit their terms through one decoder, in lexicographic order.
 
 The DP makes O(d^3) shift-adds (_direct_shift_adds: the values left, summed
 over the states reached before each position), each on an int no longer
@@ -54,16 +54,17 @@ check of that shared packing.
 The recursions run on packed integers (Kronecker substitution), not on
 MultiPoly products.  A polynomial in q, t, s is a list of rows indexed by
 the t-degree; row i is one Python int holding the coefficient of t^i as
-signed base-2^w digits, q^a s^b at digit a + b * (Q + 1):
+base-2^w digits, q^a s^b at digit a + b * (Q + 1):
 
   row_i = sum_{a,b} c_{a,i,b} 2^{w (a + b (Q + 1))}.
 
 Packing is the ring homomorphism q -> 2^w, s -> 2^{w (Q + 1)} on each row,
 so sums and products of rows are plain integer sums and products, and
 multiplying by s is a left shift by w (Q + 1) bits.  Intermediate values
-need not fit the layout; only the final polynomial is unpacked, once, and
-it must have q-degree <= Q and every |coefficient| < 2^{w-1}.  The layout
-takes both from bounds that hold before any cancellation:
+need not fit the layout; only the final polynomial is unpacked, once.  It
+counts group elements, so its digits are read unsigned, and it must have
+q-degree <= Q and every coefficient < 2^{w-1}.  The layout takes both from
+bounds that hold before any cancellation:
 
 - Q is the maximal length: a summand's q-degree is deg count(k) + deg M_k,
   which is at most k(m-k) + C(k,2) <= C(m,2) inside type A, and at most
@@ -75,6 +76,7 @@ takes both from bounds that hold before any cancellation:
   l1[m] = sum_{k<m} 2^{m-1-k} C(m,k) l1[k], and of a top-level sum at most
   sum_k 2^{top-k} count_k(1) l1[k].  The count polynomials have
   nonnegative coefficients, so their L1 norm is their value at q = 1.
+  Counts need no sign bit; the spare top bit stays so the guards do not move.
 
 The factors prod_{j>k} (1 - x t^j) are applied in Horner form, upward in k:
 acc <- acc (1 - x t^k) + x^[k>0] t^k count(k) M_k, one shift-and-subtract
@@ -89,15 +91,16 @@ against RECUR_MAX_BITS.
 
 The result is unpacked once, into terms already in lexicographic
 (eq, et, es) order, so the emitters' sort is one linear pass; the zero-free
-term dict goes to MultiPoly without a second check.  The coefficients must
-sum to the group order (the value at q = t = s = 1), or the call raises.
+term dict goes to MultiPoly without a second check.  A negative row or one
+wider than the layout fails its conversion to bytes (OverflowError), and
+the coefficients must sum to the group order, or the call raises.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, prod
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .algebra import ONE, ZERO, MultiPoly, T
 from .weylgroups import GroupFamily, capped_count, max_length
@@ -238,7 +241,7 @@ def mahonian_direct(fam: GroupFamily, euler: bool = False) -> MultiPoly:
     total = sum(val << s if neg else val for (_, neg, _), val in layer.items())
     size = t // 8  # bytes per row
     buf = total.to_bytes(size * _row_count(fam), "little")
-    return _unpack([int.from_bytes(buf[i:i + size], "little") for i in range(0, len(buf), size)], lay)
+    return _unpack((buf[i:i + size] for i in range(0, len(buf), size)), lay)
 
 
 class _Layout(NamedTuple):
@@ -246,7 +249,7 @@ class _Layout(NamedTuple):
 
     q_stride: int  # digits per power of s: the q-degree bound plus 1
     slots: int  # digits per row: q_stride times (the s-degree bound plus 1)
-    width: int  # bits per signed digit, a multiple of 8
+    width: int  # bits per digit, a multiple of 8, with a spare top bit
     x_shift: int  # multiplying by the marker x is a left shift by this many bits
 
 
@@ -274,7 +277,7 @@ def _layout(fam: GroupFamily, euler: bool) -> _Layout:
         else:  # count(d, k) at q = 1 is C(d,k) times 2^k (BC) or 2^(k-1) (D, k > 0)
             signs = [2**k if fam.tag == "BC" else 2 ** max(k - 1, 0) for k in range(d + 1)]
             bound = sum(2 ** (d - k) * comb(d, k) * signs[k] * l1[k] for k in range(d + 1))
-        width = (bound.bit_length() + 8) // 8 * 8  # so that |coefficient| < 2^(width-1)
+        width = (bound.bit_length() + 8) // 8 * 8  # coefficient < 2^(width-1): a spare top bit
         if digits * width <= RECUR_MAX_BITS:
             return _Layout(q_stride, slots, width, q_stride * width if euler else 0)
     raise ValueError(
@@ -319,41 +322,25 @@ def _flag_rows(counts: list[MultiPoly], interior: list[list[int]], lay: _Layout)
     return acc
 
 
-def _unpack(rows: list[int], lay: _Layout) -> MultiPoly:
-    """The polynomial whose coefficient of t^i is packed in rows[i], read as
-    signed digits in [-2^(w-1), 2^(w-1)); OverflowError if a row needs more
-    than lay.slots digits.  Its terms come out in (eq, et, es) order.
-
-    Only each row's span from its lowest to its highest nonzero digit is
-    converted.  The lowest set bit of a row lies in its lowest nonzero digit.
-    If the highest nonzero digit sits at slot h, then 2^(w h) / 4 < |row| <
-    2^(w (h + 1)), so (bit length + 1) // w is h or h + 1.  The span stops at
-    the last slot of the layout, and a row that reaches past it fails to
-    convert exactly as a full-width conversion would.
+def _unpack(rows: Iterable[bytes], lay: _Layout) -> MultiPoly:
+    """The polynomial whose coefficient of t^i is packed in rows[i], the
+    little-endian bytes of lay.slots unsigned w-bit digits; its terms come
+    out in (eq, et, es) order.  Each row is read only over the span left by
+    stripping its zero bytes at both ends.
 
     Rows rise in et, and a row's slots rise in (es, eq), so the terms of one
     q-degree arrive in (et, es) order; one bucket per q-degree, read in
     turn, gives the lexicographic order.  A bucket holds each key and its
     coefficient side by side, not as a pair, and is dropped once read."""
-    w, slots, q_stride = lay.width, lay.slots, lay.q_stride
-    size = w // 8
-    half = 1 << (w - 1)
-    zero = half.to_bytes(size, "little")  # a zero digit once half is added
-    offset = int.from_bytes(zero * slots, "little")  # adds half to every digit
+    size, q_stride = lay.width // 8, lay.q_stride
     buckets: list[list] = [[] for _ in range(q_stride)]  # per eq: key, coefficient, key, ...
     for et, row in enumerate(rows):
-        if not row:
-            continue
-        lo = ((row & -row).bit_length() - 1) // w
-        if lo >= slots:
-            raise OverflowError(f"row {et} has no digit inside the {slots} slots of the layout")
-        n = min((abs(row).bit_length() + 1) // w, slots - 1) - lo + 1
-        buf = ((row >> w * lo) + (offset >> w * (slots - n))).to_bytes(size * n, "little")
+        row = row.rstrip(b"\0")
+        lo = (len(row) - len(row.lstrip(b"\0"))) // size
         es, eq = divmod(lo, q_stride)
-        for j in range(0, len(buf), size):
-            digit = buf[j:j + size]
-            if digit != zero:
-                buckets[eq] += ((eq, et, es), int.from_bytes(digit, "little") - half)
+        for j in range(lo * size, len(row), size):
+            if c := int.from_bytes(row[j:j + size], "little"):
+                buckets[eq] += ((eq, et, es), c)
             eq += 1
             if eq == q_stride:
                 es, eq = es + 1, 0
@@ -381,7 +368,7 @@ def mahonian_recursive(fam: GroupFamily, euler: bool = False) -> MultiPoly:
     else:
         count = symplectic_isotropic_count if fam.tag == "BC" else even_isotropic_count
         rows = _flag_rows([count(d, k) for k in range(d + 1)], interior, lay)
-    poly = _unpack(rows, lay)
+    poly = _unpack((row.to_bytes(lay.width // 8 * lay.slots, "little") for row in rows), lay)
     if sum(poly.terms.values()) != fam.order():
         raise ArithmeticError(f"recursion for {fam.tag} d={d} does not sum to the group order {fam.order()}")
     return poly

@@ -66,10 +66,52 @@ def test_ring_axioms_random():
         assert a * (b + c) == a * b + a * c
 
 
+def _ring_ops(rng):
+    """Thunks for sums, differences, negations, products, int multiples (0
+    included) and over quotients of random operands, many of which cancel;
+    the operands are built before each thunk is yielded."""
+    for _ in range(150):
+        a, b = random_poly(rng), random_poly(rng)
+        c, n = b - a if rng.random() < 0.5 else b, rng.randint(-3, 3)
+        bound, j, with_s = rng.randrange(6), rng.randint(1, 3), rng.random() < 0.5
+        series = TruncSeries.from_poly(a * (1 - (S if with_s else ONE) * T**j), bound)  # over(j) is a, truncated
+        trunc = TruncSeries.from_poly(a, bound)
+        yield from (
+            lambda: a + c, lambda: a - c, lambda: c - a, lambda: -a, lambda: a * c,
+            lambda: (a + c) * (a - c) - (a * a - c * c), lambda: n * a, lambda: a * 0,
+            lambda: series.over(j, with_s=with_s).poly, lambda: (series.over(j, with_s=with_s) - trunc).poly,
+        )
+
+
 def test_no_zero_terms_stored():
     p = (1 + Q) - Q
     assert p.terms == {(0, 0, 0): 1}
     assert not (Q - Q)
+    for op in _ring_ops(random.Random(29)):
+        r = op()
+        assert all(r.terms.values())
+        assert r == MultiPoly(dict(r.terms))
+
+
+def test_ring_results_skip_the_input_check(monkeypatch):
+    """A computed polynomial or series is built from checked operands and
+    never runs MultiPoly.__init__ again."""
+    init, calls = MultiPoly.__init__, []
+    monkeypatch.setattr(MultiPoly, "__init__", lambda self, terms=None: calls.append(terms) or init(self, terms))
+    for op in _ring_ops(random.Random(30)):
+        calls.clear()
+        op()
+        assert not calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MultiPoly({(-1, 0, 0): 1}),
+    lambda: MultiPoly({(0, 0, -2): 3}),
+    lambda: poly_from_json({"vars": ["q", "t", "s"], "terms": [{"e": [0, -1, 0], "c": "5"}]}),
+])
+def test_outside_terms_with_a_negative_exponent_are_refused(build):
+    with pytest.raises(ValueError, match="negative exponent"):
+        build()
 
 
 def test_specialize():

@@ -88,9 +88,9 @@ def test_flag_series_theorem_with_wide_image_digits(kind, p, d):
 @pytest.mark.parametrize(
     "kwargs, points, digest",
     [
-        ({}, 420, "19aeea2b9ebfb2d0fb22402695a16a3d44b0e76bc0f0f6880e973e8de1bd0a39"),
+        ({}, 448, "c6277c3c91a1bca5e2bfa123b8b65821d7480b27c989d10d5cfd6e5143c5e051"),
         ({"max_d": 2}, 193, "abad4565b073a46b1ebae840830df539e2b60788d058342dfee907518448a26f"),
-        ({"primes": [3], "trunc": 6}, 352, "3853267ced96af9b7309d879553390f1df930e99e9972a9d60e3353cbc0cfdfe"),
+        ({"primes": [3], "trunc": 6}, 380, "bbbe7896c9a5480df925df39ca4e1b8388e2fe5c473097008cf485e150e0ffb4"),
     ],
 )
 def test_registry_grids_are_pinned(kwargs, points, digest):

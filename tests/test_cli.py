@@ -187,8 +187,8 @@ def test_verify_repeated_check_runs_once(capsys):
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("--all",), "9fb9274ebe8167d8b13b4582369ddbbd9d9f4c31ff3f8b4dbdef0c07e5cf92b4"),
-        (("--all", "--json"), "5e89b7ea47334ce55533db5b5ccac5a8d8c33242b6f5b501194a7f93671ea2d3"),
+        (("--all",), "7376f74c439550d1d3e623566de8d402df0d6e29c5b7710732589104344c839c"),
+        (("--all", "--json"), "9669ca20e3bc93a5437dc37bd61239f61b10bdefcb4b2b0d21bec5d0bb0ca97d"),
         (
             ("--all", "--max-d", "2", "--primes", "3", "--trunc", "6", "--json"),
             "4e0bd2bc097ea5900e9c7441f1d8f00413a1c0452d50831e48c8f5ffb05c3eb5",

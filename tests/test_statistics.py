@@ -317,67 +317,76 @@ def test_recursion_guard_rejects_before_any_arithmetic():
 
 
 def _unpack_every_slot(rows, lay):
-    """The reference for _unpack: convert every slot of every row."""
-    size = lay.width // 8
-    half = 1 << (lay.width - 1)
-    zero = half.to_bytes(size, "little")
-    offset = int.from_bytes(zero * lay.slots, "little")
+    """The reference for _unpack: convert each whole row to one int and read
+    every one of its slots as an unsigned digit."""
+    mask = (1 << lay.width) - 1
     terms = {}
     for et, row in enumerate(rows):
-        if not row:
-            continue
-        buf = (row + offset).to_bytes(size * lay.slots, "little")
-        for j in range(0, len(buf), size):
-            digit = buf[j:j + size]
-            if digit != zero:
-                es, eq = divmod(j // size, lay.q_stride)
-                terms[(eq, et, es)] = int.from_bytes(digit, "little") - half
+        value = int.from_bytes(row, "little")
+        for i in range(lay.slots):
+            es, eq = divmod(i, lay.q_stride)
+            terms[(eq, et, es)] = value >> lay.width * i & mask
     return MultiPoly(terms)
 
 
-def _row(digits, width):
-    return sum(c << (width * i) for i, c in enumerate(digits))
+def _row_bytes(digits, lay):
+    """A row of the given digits, converted as mahonian_recursive converts its rows."""
+    return sum(c << (lay.width * i) for i, c in enumerate(digits)).to_bytes(lay.width // 8 * lay.slots, "little")
 
 
-@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("width", [8, 16, 24])
 def test_unpack_matches_every_slot_on_hand_built_rows(width):
     lay = _Layout(q_stride=4, slots=12, width=width, x_shift=0)
-    half, top = 1 << (width - 1), lay.slots - 1
+    big, top = (1 << width) - 1, lay.slots - 1
     cases = [
-        [0, -3, 5],  # lowest nonzero digit negative
-        [0, 2, 0, -7],  # highest nonzero digit negative
-        [1] + [0] * (top - 1) + [-1],  # digits at slot 0 and slot slots - 1
-        [-1] + [0] * (top - 1) + [1],
-        [half - 1] + [0] * (top - 1) + [half - 1],  # the largest digits, at both ends
-        [-half] * lay.slots,  # the most negative digit, everywhere
-        [half - 1] * lay.slots,
-        [0] * top + [-half + 1],
-        [0] * 5 + [1, -(half - 1)],  # the span's top digit cancels most of the next
-        [0, -half, -half, 1],  # a top digit 1 over most-negative digits: the row is below 2^(w h - 1)
+        [big],  # the largest digit at slot 0
+        [0] * top + [big],  # and at slot slots - 1
+        [big] + [0] * (top - 1) + [big],
+        [big] * lay.slots,
+        [1] + [0] * (top - 1) + [1],  # the top digit's high bytes are zero
+        [0, 3, 0, 7],
+        [0] * 5 + [1 << (width - 8), 0, 1 << (width - 8)],  # digits whose low byte is zero (w > 8)
         [],  # an all-zero row
+        [0] * lay.slots,
     ]
     rng = random.Random(width)
     for _ in range(200):
         lo = rng.randrange(lay.slots)
         hi = rng.randrange(lo, lay.slots)
-        cases.append([0] * lo + [rng.randrange(-half, half) for _ in range(hi - lo + 1)])
-    rows = [_row(digits, width) for digits in cases]
+        cases.append([0] * lo + [rng.randrange(big + 1) for _ in range(hi - lo + 1)])
+    rows = [_row_bytes(digits, lay) for digits in cases]
     poly = _unpack(rows, lay)
     assert poly == _unpack_every_slot(rows, lay)
     assert list(poly.terms) == sorted(poly.terms)
-    assert _unpack([0, 0], lay) == MultiPoly()
+    assert _unpack(iter(rows), lay) == poly  # one pass over the rows suffices
+    assert _unpack([bytes(width // 8 * lay.slots)] * 2, lay) == MultiPoly()
 
 
 @pytest.mark.parametrize("width", [8, 16])
 def test_unpack_rejects_rows_wider_than_the_layout(width):
+    """Rows reach _unpack converted at the layout's width, one at a time as
+    mahonian_recursive converts them, so a row that is too wide or negative
+    raises OverflowError there."""
     lay = _Layout(q_stride=4, slots=12, width=width, x_shift=0)
-    half = 1 << (width - 1)
-    for digits in ([1] * (lay.slots + 1), [0] * lay.slots + [-1], [0] * (lay.slots + 3) + [5],
-                   [0] * (lay.slots - 1) + [half]):  # a top digit of 2^(w-1) carries into slot `slots`
-        row = _row(digits, width)
-        for unpack in (_unpack_every_slot, _unpack):
-            with pytest.raises(OverflowError):
-                unpack([row], lay)
+    for digits in ([1] * (lay.slots + 1), [0] * lay.slots + [1], [0] * (lay.slots + 3) + [5], [-1], [0, 0, -3]):
+        with pytest.raises(OverflowError):
+            _unpack((_row_bytes(row, lay) for row in ([1, 2], digits)), lay)
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 10_000], ids=["negative", "wide"])
+def test_recursion_rows_too_wide_or_negative_raise(monkeypatch, bad):
+    """A final row that is negative or wider than the layout raises
+    OverflowError where mahonian_recursive converts it to bytes."""
+    flag_rows = statistics._flag_rows
+    fam = GroupFamily("BC", 3)
+
+    def spy(counts, interior, lay):
+        rows = flag_rows(counts, interior, lay)
+        return rows[:-1] + [bad] if len(counts) == fam.d + 1 else rows
+
+    monkeypatch.setattr(statistics, "_flag_rows", spy)
+    with pytest.raises(OverflowError):
+        mahonian_recursive(fam)
 
 
 @pytest.mark.parametrize("tag", ["A", "BC", "D"])
@@ -388,6 +397,7 @@ def test_unpack_matches_every_slot_on_recursion_rows(monkeypatch, tag, euler):
     seen = []
 
     def spy(rows, lay):
+        rows = list(rows)
         seen.append((rows, lay))
         return _unpack(rows, lay)
 
@@ -400,6 +410,7 @@ def test_unpack_matches_every_slot_on_recursion_rows(monkeypatch, tag, euler):
         for route in routes:
             poly = route(fam, euler=euler)
             rows, lay = seen.pop()
+            assert all(len(row) == lay.width // 8 * lay.slots for row in rows)
             assert poly == _unpack_every_slot(rows, lay), (route.__name__, d)
             assert list(poly.terms) == sorted(poly.terms)
 
